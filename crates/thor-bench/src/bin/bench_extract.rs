@@ -1,18 +1,19 @@
 //! **BENCH_extract** — refinement-kernel benchmark: the
 //! allocation-free `thor_text::kernels` scoring path with score-bound
-//! early abandon (`refine_candidates`, the default) against the
-//! retained reference implementations
-//! (`jaccard_words`/`gestalt_similarity`, `--refine reference`) on
-//! Disease A–Z candidate lists.
+//! early abandon (`refine_candidates`, what the pipeline runs) against
+//! the reference implementation (`refine_candidates_reference`:
+//! `jaccard_words`/`gestalt_similarity` on the raw strings) on Disease
+//! A–Z candidate lists.
 //!
 //! Emits `BENCH_extract.json` (selections/sec for both paths, pruned
 //! fraction, speedup, end-to-end equivalence checks) to the working
 //! directory and prints the same document to stdout. Before timing,
 //! every candidate list is checked for *bit-exact* winner equality
-//! between the two paths, and a full enrich run is compared
-//! byte-for-byte (CSV) between kernel and reference at 1 and 4
-//! threads — the speedup claim is only meaningful because the kernel
-//! path is a drop-in replacement.
+//! between the two paths — the speedup claim is only meaningful because
+//! the kernel path is a drop-in replacement — and a full enrich run is
+//! compared byte-for-byte (CSV) between 1 and 4 threads. (The
+//! end-to-end kernel-vs-reference comparison lives in thor-core's
+//! `refine_kernels` test suite.)
 //!
 //! Usage: `bench_extract [--smoke]` (env: `THOR_SCALE`, `THOR_SEED`).
 //! `--smoke` pins a small scale and few repetitions so CI can afford to
@@ -23,7 +24,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use thor_bench::harness::{disease_dataset, scale_from_env, seed_from_env};
-use thor_core::{refine_candidates, Thor, ThorConfig};
+use thor_core::{refine_candidates, refine_candidates_reference, Thor, ThorConfig};
 use thor_data::csv::to_csv;
 use thor_datagen::Split;
 use thor_match::CandidateSource;
@@ -55,8 +56,6 @@ fn main() {
     let docs = dataset.documents(Split::Test);
 
     let kernel_config = ThorConfig::with_tau(TAU);
-    let mut reference_config = kernel_config.clone();
-    reference_config.reference_refine = true;
 
     let thor = Thor::new(dataset.store.clone(), kernel_config.clone());
     let matcher = thor.fine_tune(&table);
@@ -79,7 +78,7 @@ fn main() {
     let (mut scored, mut pruned) = (0u64, 0u64);
     for list in &lists {
         let kernel = refine_candidates(list, &matcher, &kernel_config, &mut scratch);
-        let reference = refine_candidates(list, &matcher, &reference_config, &mut scratch);
+        let reference = refine_candidates_reference(list, &kernel_config);
         scored += kernel.scored;
         pruned += kernel.pruned;
         match (&kernel.best, &reference.best) {
@@ -97,12 +96,7 @@ fn main() {
     let t0 = Instant::now();
     for _ in 0..reps {
         for list in &lists {
-            std::hint::black_box(refine_candidates(
-                list,
-                &matcher,
-                &reference_config,
-                &mut scratch,
-            ));
+            std::hint::black_box(refine_candidates_reference(list, &kernel_config));
         }
     }
     let ref_rate = total / t0.elapsed().as_secs_f64();
@@ -121,11 +115,10 @@ fn main() {
     let kernel_rate = total / t0.elapsed().as_secs_f64();
     let speedup = kernel_rate / ref_rate;
 
-    // End-to-end drop-in check: the enriched CSV must be byte-identical
-    // between kernel and reference refinement at 1 and 4 threads.
-    let enrich_csv = |reference: bool, threads: usize| {
+    // End-to-end check: the enriched CSV must be byte-identical at 1
+    // and 4 threads.
+    let enrich_csv = |threads: usize| {
         let mut config = kernel_config.clone();
-        config.reference_refine = reference;
         config.threads = threads;
         to_csv(
             &Thor::new(dataset.store.clone(), config)
@@ -133,18 +126,10 @@ fn main() {
                 .table,
         )
     };
-    let baseline_csv = enrich_csv(true, 1);
-    for threads in [1, 4] {
-        assert_eq!(
-            baseline_csv,
-            enrich_csv(false, threads),
-            "kernel enrich CSV diverged from reference at {threads} thread(s)"
-        );
-    }
     assert_eq!(
-        baseline_csv,
-        enrich_csv(true, 4),
-        "reference enrich CSV diverged across threads"
+        enrich_csv(1),
+        enrich_csv(4),
+        "kernel enrich CSV diverged across threads"
     );
 
     let mut doc = BTreeMap::new();

@@ -16,8 +16,8 @@
 //!
 //! The document also carries a **vocabulary sweep** (`vocab_sweep`):
 //! synthetic clustered spaces at 1×/4×/16× words-per-concept, timing
-//! bound-pruned exact candidate generation (`--prune exact`) against
-//! the exhaustive scan (`--prune off`) with the phrase cache disabled.
+//! bound-pruned exact candidate generation (`PruneMode::Exact`) against
+//! the exhaustive scan (`PruneMode::Off`) with the phrase cache disabled.
 //! Exhaustive throughput decays roughly linearly with index rows;
 //! pruned throughput flattens — full mode asserts the ≥3× pruned floor
 //! at the largest size and that pruned decays strictly slower.

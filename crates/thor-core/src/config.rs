@@ -83,27 +83,10 @@ pub struct ThorConfig {
     /// pipeline single-threaded (documents are independent once the
     /// matcher is fine-tuned, so extraction parallelizes trivially).
     pub threads: usize,
-    /// Skip the syntactic scoring of candidates whose refinement upper
-    /// bound `combine(semantic, 1, 1)` cannot beat the running best
-    /// (Jaccard and gestalt are both ≤ 1). Candidates are visited in
-    /// the matcher's deterministic order and equality never prunes, so
-    /// output is bit-identical either way — an output-neutral execution
-    /// knob like `threads`, excluded from fingerprints and not
-    /// persisted in engine artifacts. Applies only to the kernel path;
-    /// the reference path always scores everything.
-    pub early_abandon: bool,
-    /// Score candidates with the documented reference implementations
-    /// (`jaccard_words`/`gestalt_similarity`) instead of the
-    /// allocation-free `thor_text::kernels` fast paths. The two paths
-    /// are bit-identical by construction (enforced by property tests
-    /// and `scripts/extract_smoke.sh`); the flag exists for A/B checks
-    /// and benchmarking. Output-neutral: excluded from fingerprints and
-    /// not persisted in engine artifacts.
-    pub reference_refine: bool,
     /// Candidate-generation pruning strategy. `Exact` (the default)
     /// skips concepts and row blocks whose cosine upper bound cannot
     /// beat the admission threshold — bit-identical to the exhaustive
-    /// scan, an output-neutral execution knob like `early_abandon`.
+    /// scan, an output-neutral execution knob like `threads`.
     /// `Approx { margin }` additionally pre-screens rows with the
     /// i8-quantized copy (survivors are exactly rescored); it trades a
     /// measured sliver of recall for throughput and is the only mode
@@ -125,8 +108,6 @@ impl Default for ThorConfig {
             np_chunking: true,
             context_gate: None,
             threads: 1,
-            early_abandon: true,
-            reference_refine: false,
             prune: thor_match::PruneMode::Exact,
         }
     }

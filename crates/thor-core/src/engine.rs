@@ -28,16 +28,16 @@
 //! exact constructor path the in-memory build uses, and a semantic
 //! fingerprint of store/table/config is verified on load.
 
+use std::convert::Infallible;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use thor_data::Table;
 use thor_embed::VectorStore;
 use thor_fault::{
-    atomic_write, fnv1a, ByteReader, ByteWriter, MapMode, SectionChain, SectionWriter, ThorError,
-    ThorResult,
+    atomic_write, fnv1a, ByteReader, ByteWriter, CancelToken, MapMode, SectionChain, SectionWriter,
+    ThorError, ThorResult,
 };
 use thor_index::DictionaryIndex;
 use thor_match::{MatcherConfig, PreparedMatcher, PruneMode, SimilarityMatcher, TAU_RANGE};
@@ -49,7 +49,7 @@ use crate::document::Document;
 use crate::entity::ExtractedEntity;
 use crate::extract::extract_entities_with;
 use crate::pipeline::{dedup_entities, EnrichmentResult, EnrichmentSession, Thor};
-use crate::pool::WorkerPool;
+use crate::pool::fan_out;
 use crate::segment::segment_metered;
 use crate::slotfill::slot_fill_metered;
 
@@ -186,6 +186,27 @@ pub(crate) fn engine_fingerprint(
         format!("store={store_digest:016x}"),
     ];
     thor_fault::fingerprint(parts)
+}
+
+/// How [`PreparedEngine::extract_document`] runs each named stage
+/// (`segment`, `extract`) of one document.
+pub(crate) trait StageGuard {
+    /// Why a guarded stage did not produce its output.
+    type Error;
+
+    /// Run stage `name` through `f`.
+    fn stage<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> Result<T, Self::Error>;
+}
+
+/// Trusted input: every stage runs directly and cannot fail.
+pub(crate) struct Unguarded;
+
+impl StageGuard for Unguarded {
+    type Error = Infallible;
+
+    fn stage<T>(&self, _name: &'static str, f: impl FnOnce() -> T) -> Result<T, Infallible> {
+        Ok(f())
+    }
 }
 
 impl Thor {
@@ -336,79 +357,18 @@ impl PreparedEngine {
                 .prep
                 .matcher_at(config.matcher_config(), self.inner.metrics.clone())
         });
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                fingerprint: engine_fingerprint(
-                    &config,
-                    self.inner.table_digest,
-                    self.inner.store_digest,
-                ),
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher,
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                chain_depth: self.inner.chain_depth,
-                prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
-        }
+        self.derive(matcher, |e| {
+            e.fingerprint = engine_fingerprint(&config, e.table_digest, e.store_digest);
+            e.config = config;
+            e.prepare_time = prepare_time;
+        })
     }
 
     /// The same engine with a different worker-thread count. Threads
     /// are an execution knob, not a model parameter: output and
     /// fingerprint are unchanged.
     pub fn with_threads(&self, threads: usize) -> PreparedEngine {
-        let mut config = self.inner.config.clone();
-        config.threads = threads;
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher: self.inner.matcher.clone(),
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
-        }
-    }
-
-    /// The same engine scoring refinement with the documented reference
-    /// implementations (`true`) or the allocation-free kernels
-    /// (`false`, the default). The two paths are bit-identical, so like
-    /// `threads` this is an execution knob: output and fingerprint are
-    /// unchanged.
-    pub fn with_reference_refine(&self, reference: bool) -> PreparedEngine {
-        let mut config = self.inner.config.clone();
-        config.reference_refine = reference;
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher: self.inner.matcher.clone(),
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
-        }
+        self.derive(self.inner.matcher.clone(), |e| e.config.threads = threads)
     }
 
     /// The same engine with a different candidate-pruning mode. `Exact`
@@ -423,85 +383,116 @@ impl PreparedEngine {
     /// differ. The matcher's phrase cache is restarted so entries
     /// admitted under one mode never serve another.
     pub fn with_prune(&self, prune: PruneMode) -> PreparedEngine {
-        let mut config = self.inner.config.clone();
-        config.prune = prune;
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                matcher: self.inner.matcher.with_prune_mode(prune),
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
-        }
+        self.derive(self.inner.matcher.with_prune_mode(prune), |e| {
+            e.config.prune = prune
+        })
     }
 
-    /// Attach an observability handle. The matcher is re-derived from
-    /// the frozen Preparation with the handle installed, so fine-tune
-    /// statistics (vocabulary size, expansion counts, representative
-    /// counts, index rows) are recorded exactly as an in-memory build
-    /// records them — this is what makes a loaded engine's metrics
-    /// match the in-memory path. Output is unaffected.
+    /// Attach an observability handle. The existing matcher is reused
+    /// with the handle swapped in ([`SimilarityMatcher::with_metrics`]):
+    /// nothing is re-derived, so a mapped engine keeps serving from its
+    /// zero-copy index. The fine-tune statistics (vocabulary size,
+    /// expansion counts, representative counts, index rows) are set
+    /// from the existing clusters and index exactly as an in-memory
+    /// build records them, under one `pipeline.prepare` span — this is
+    /// what makes a loaded engine's metrics match the in-memory path.
+    /// Output is unaffected.
     pub fn with_metrics(&self, metrics: PipelineMetrics) -> PreparedEngine {
-        let (matcher, _) = metrics.prepare.time(|| {
-            self.inner
-                .prep
-                .matcher_at(self.inner.config.matcher_config(), Some(metrics.clone()))
-        });
+        let (matcher, _) = metrics
+            .prepare
+            .time(|| self.inner.matcher.with_metrics(metrics.clone()));
+        self.derive(matcher, |e| e.metrics = Some(metrics))
+    }
+
+    /// A sibling engine sharing every frozen structure of this one,
+    /// serving through `matcher`, with `edit` adjusting the remaining
+    /// fields — the single construction path of the `with_*`
+    /// derivations.
+    fn derive(
+        &self,
+        matcher: SimilarityMatcher,
+        edit: impl FnOnce(&mut EngineInner),
+    ) -> PreparedEngine {
+        let inner = &*self.inner;
+        let mut next = EngineInner {
+            config: inner.config.clone(),
+            store: Arc::clone(&inner.store),
+            table: Arc::clone(&inner.table),
+            subjects: inner.subjects.clone(),
+            prep: Arc::clone(&inner.prep),
+            matcher,
+            dictionary: Arc::clone(&inner.dictionary),
+            store_digest: inner.store_digest,
+            table_digest: inner.table_digest,
+            fingerprint: inner.fingerprint.clone(),
+            chain_depth: inner.chain_depth,
+            prepare_time: inner.prepare_time,
+            metrics: inner.metrics.clone(),
+        };
+        edit(&mut next);
         PreparedEngine {
-            inner: Arc::new(EngineInner {
-                config: self.inner.config.clone(),
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher,
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: Some(metrics),
-            }),
+            inner: Arc::new(next),
         }
     }
 
     /// Extract entities from `docs`, deduplicated per (document,
-    /// concept, phrase). Returns the entities and the inference time.
-    /// Document-parallel for `config.threads > 1` via the shared
-    /// [`WorkerPool`]; output is identical for any thread count.
+    /// concept, phrase). Returns the entities and the inference time
+    /// (segmentation through dedup, recorded once as
+    /// `pipeline.inference`). Document-parallel for `config.threads > 1`
+    /// via the shared [`crate::WorkerPool`]; output is identical for any
+    /// thread count.
     pub fn extract(&self, docs: &[Document]) -> (Vec<ExtractedEntity>, Duration) {
         let run = self.run_metrics();
         run.inference.time(|| self.extract_entities(&run, docs))
     }
 
-    /// Segmentation + extraction + dedup, outside any timing span.
-    pub(crate) fn extract_entities(
+    /// [`PreparedEngine::extract_document`] over every document through
+    /// the shared fan-out, then dedup — outside any timing span.
+    fn extract_entities(&self, run: &PipelineMetrics, docs: &[Document]) -> Vec<ExtractedEntity> {
+        let mut entities = Vec::new();
+        let Ok(()) = fan_out(
+            self.inner.config.threads,
+            docs,
+            &CancelToken::none(),
+            |doc, scratch| {
+                let Ok(found) = self.extract_document(doc, run, scratch, &Unguarded);
+                found
+            },
+            |_, found| {
+                entities.extend(found);
+                Ok::<(), Infallible>(())
+            },
+        );
+        // Deduplicate, keeping the best-scoring instance of each key —
+        // the total order makes output independent of work partitioning.
+        dedup_entities(&mut entities);
+        entities
+    }
+
+    /// Segment → extract for one document: the per-document core of
+    /// every entry point (`extract`, `enrich`, sessions and both
+    /// resilient runs). `guard` runs each stage — directly for trusted
+    /// input ([`Unguarded`]), or wrapped with cancel checks, failpoints
+    /// and panic isolation by the resilient layer. The `docs` counter
+    /// counts documents that made it through both stages.
+    pub(crate) fn extract_document<G: StageGuard>(
         &self,
+        doc: &Document,
         run: &PipelineMetrics,
-        docs: &[Document],
-    ) -> Vec<ExtractedEntity> {
+        scratch: &mut ScoreScratch,
+        guard: &G,
+    ) -> Result<Vec<ExtractedEntity>, G::Error> {
         let inner = &*self.inner;
-        // One `ScoreScratch` per worker: refinement's DP buffers and
-        // token spans are reused across every document a worker drains.
-        let per_doc = |doc: &Document, scratch: &mut ScoreScratch| {
-            run.docs.inc();
-            let segments = segment_metered(
+        let segments = guard.stage("segment", || {
+            segment_metered(
                 doc,
                 &inner.subjects,
                 &inner.matcher,
                 inner.config.segmentation,
                 run,
-            );
+            )
+        })?;
+        let entities = guard.stage("extract", || {
             extract_entities_with(
                 &segments,
                 &inner.matcher,
@@ -510,57 +501,25 @@ impl PreparedEngine {
                 Some(run),
                 scratch,
             )
-        };
-        let mut entities: Vec<ExtractedEntity> = if inner.config.threads <= 1 || docs.len() < 2 {
-            let mut scratch = ScoreScratch::new();
-            docs.iter()
-                .flat_map(|doc| per_doc(doc, &mut scratch))
-                .collect()
-        } else {
-            let workers = inner.config.threads.min(docs.len());
-            let next = AtomicUsize::new(0);
-            let buckets: Mutex<Vec<Vec<ExtractedEntity>>> = Mutex::new(Vec::new());
-            WorkerPool::global().scope(workers, |scope| {
-                for _ in 0..workers {
-                    let (next, buckets, per_doc) = (&next, &buckets, &per_doc);
-                    scope.spawn(move || {
-                        let mut scratch = ScoreScratch::new();
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(doc) = docs.get(i) else { break };
-                            out.extend(per_doc(doc, &mut scratch));
-                        }
-                        buckets.lock().unwrap().push(out);
-                    });
-                }
-            });
-            buckets
-                .into_inner()
-                .unwrap()
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        // Deduplicate, keeping the best-scoring instance of each key —
-        // the total order makes output independent of work partitioning.
-        dedup_entities(&mut entities);
-        entities
+        })?;
+        run.docs.inc();
+        Ok(entities)
     }
 
     /// Run the serve side of the full pipeline: Entity Extraction and
     /// Slot Filling over the engine's table. One `Table` clone, filled
-    /// in place.
+    /// in place. `inference_time` covers segmentation through slot
+    /// fill and is recorded once as `pipeline.inference`.
     pub fn enrich(&self, docs: &[Document]) -> EnrichmentResult {
         let run = self.run_metrics();
-        let (entities, mut inference_time) =
-            run.inference.time(|| self.extract_entities(&run, docs));
-        let mut enriched = (*self.inner.table).clone();
-        let t = std::time::Instant::now();
-        let slot_stats = slot_fill_metered(&mut enriched, &entities, &run);
-        inference_time += t.elapsed();
+        let ((entities, table, slot_stats), inference_time) = run.inference.time(|| {
+            let entities = self.extract_entities(&run, docs);
+            let mut table = (*self.inner.table).clone();
+            let slot_stats = slot_fill_metered(&mut table, &entities, &run);
+            (entities, table, slot_stats)
+        });
         EnrichmentResult {
-            table: enriched,
+            table,
             entities,
             slot_stats,
             prepare_time: self.inner.prepare_time,
@@ -1188,8 +1147,6 @@ fn read_config(r: &mut ByteReader<'_>) -> ThorResult<ThorConfig> {
         threads,
         // Execution knobs are not persisted (the artifact format is
         // unchanged): a loaded engine starts from the defaults.
-        early_abandon: true,
-        reference_refine: false,
         prune: thor_match::PruneMode::Exact,
     })
 }

@@ -1,15 +1,18 @@
 //! Phase ② — entity extraction: noun-phrase parsing, semantic matching,
 //! syntactic refinement (Algorithm 1 lines 3–15).
 //!
-//! Refinement runs on the allocation-free `thor_text::kernels` fast
-//! paths by default, with a score-bound early abandon: the combined
-//! score is a weighted mean of three terms each ≤ 1, so a candidate
-//! whose upper bound `combine(semantic, 1, 1)` cannot beat the running
-//! best is skipped before any syntactic work. Candidates are visited in
-//! the matcher's deterministic order and ties never prune, so the
-//! selected entity — and every downstream byte — is identical to the
-//! reference path (`ThorConfig::reference_refine`), which is retained
-//! as ground truth.
+//! Refinement ([`refine_candidates`]) runs on the allocation-free
+//! `thor_text::kernels` fast paths with a score-bound early abandon:
+//! the combined score is a weighted mean of three terms each ≤ 1, so a
+//! candidate whose upper bound `combine(semantic, 1, 1)` cannot beat
+//! the running best is skipped before any syntactic work. Winner
+//! selection is a strict total order and ties never prune, so the
+//! selected entity — and every downstream byte — is identical to
+//! [`refine_candidates_reference`], the documented reference
+//! implementation (raw-string `jaccard_words`/`gestalt_similarity`,
+//! every candidate scored). The reference is not a product setting: it
+//! is a plain function that tests and benches call directly as ground
+//! truth.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -55,7 +58,7 @@ pub struct RefineOutcome {
     pub pruned: u64,
 }
 
-/// Whether early abandon may prune under these weights: the upper bound
+/// Whether the early abandon may prune under these weights: the upper bound
 /// `combine(s, 1, 1)` is only monotone in the syntactic scores when the
 /// word/char weights are non-negative, and only meaningful when every
 /// weight is finite. (`ScoreWeights` fields are public, so exotic
@@ -76,20 +79,17 @@ fn bound_is_sound(config: &ThorConfig) -> bool {
 /// character-level gestalt similarity, combined by the configured
 /// weights.
 ///
-/// The kernel path (default) scores through `scratch` and the matcher's
-/// frozen [`SeedSyntax`](thor_text::SeedSyntax), pruning upper-bounded
-/// candidates when `config.early_abandon` holds; the reference path
-/// (`config.reference_refine`) recomputes both syntactic measures from
-/// the raw strings with the documented reference implementations and
-/// never prunes. Both paths return bit-identical winners.
+/// Scores through `scratch` and the matcher's frozen
+/// [`SeedSyntax`](thor_text::SeedSyntax), pruning upper-bounded
+/// candidates whenever the bound is sound for the configured weights.
+/// Returns bit-identical winners to [`refine_candidates_reference`].
 pub fn refine_candidates(
     candidates: &[CandidateEntity],
     matcher: &SimilarityMatcher,
     config: &ThorConfig,
     scratch: &mut ScoreScratch,
 ) -> RefineOutcome {
-    let reference = config.reference_refine;
-    let prunable = !reference && config.early_abandon && bound_is_sound(config);
+    let prunable = bound_is_sound(config);
     let seed_syntax = matcher.seed_syntax();
     let mut best: Option<(usize, f64)> = None;
     let mut scored = 0u64;
@@ -137,43 +137,36 @@ pub fn refine_candidates(
                 }
             }
         }
-        let (score_w, score_c) = if reference {
-            (
-                jaccard_words(&c.phrase, &c.matched_instance),
-                gestalt_similarity(&c.phrase, &c.matched_instance),
-            )
-        } else {
-            // Defensive fallback: every matched_instance of a
-            // SimilarityMatcher is an embedded seed, but other sources
-            // may not uphold that.
-            let fallback;
-            let seed = match seed_syntax.get(&c.matched_instance) {
-                Some(seed) => seed,
-                None => {
-                    fallback = PhraseSyntax::new(&c.matched_instance);
-                    &fallback
-                }
-            };
-            let score_w = jaccard_prepared(scratch, &c.phrase, seed);
-            // Stage-2 bound, with the real Jaccard in hand: the gestalt
-            // is at most `2·min(|a|,|b|)/(|a|+|b|)` (difflib's
-            // `real_quick_ratio`), which costs one chars() pass instead
-            // of the quadratic block search.
-            if prunable {
-                if let Some((_, best_score)) = best {
-                    let bound = config.weights.combine(
-                        c.semantic_score,
-                        score_w,
-                        gestalt_bound(&c.phrase, seed),
-                    );
-                    if bound.total_cmp(&best_score) == Ordering::Less {
-                        pruned += 1;
-                        continue;
-                    }
+        // Defensive fallback: every matched_instance of a
+        // SimilarityMatcher is an embedded seed, but other sources may
+        // not uphold that.
+        let fallback;
+        let seed = match seed_syntax.get(&c.matched_instance) {
+            Some(seed) => seed,
+            None => {
+                fallback = PhraseSyntax::new(&c.matched_instance);
+                &fallback
+            }
+        };
+        let score_w = jaccard_prepared(scratch, &c.phrase, seed);
+        // Stage-2 bound, with the real Jaccard in hand: the gestalt is
+        // at most `2·min(|a|,|b|)/(|a|+|b|)` (difflib's
+        // `real_quick_ratio`), which costs one chars() pass instead of
+        // the quadratic block search.
+        if prunable {
+            if let Some((_, best_score)) = best {
+                let bound = config.weights.combine(
+                    c.semantic_score,
+                    score_w,
+                    gestalt_bound(&c.phrase, seed),
+                );
+                if bound.total_cmp(&best_score) == Ordering::Less {
+                    pruned += 1;
+                    continue;
                 }
             }
-            (score_w, gestalt_prepared(scratch, &c.phrase, seed))
-        };
+        }
+        let score_c = gestalt_prepared(scratch, &c.phrase, seed);
         scored += 1;
         let score = config.weights.combine(c.semantic_score, score_w, score_c);
         // max_by keeps the *last* maximal element: replace unless the
@@ -195,6 +188,34 @@ pub fn refine_candidates(
         best: best.map(|(idx, score)| (candidates[idx].clone(), score)),
         scored,
         pruned,
+    }
+}
+
+/// The documented reference refinement: both syntactic measures are
+/// recomputed from the raw strings ([`jaccard_words`],
+/// [`gestalt_similarity`]), every candidate is scored, and the winner is
+/// the last maximal element of `max_by` under (score, reversed phrase).
+/// Slow and allocation-heavy; it exists as the ground truth
+/// [`refine_candidates`] must reproduce bit for bit.
+pub fn refine_candidates_reference(
+    candidates: &[CandidateEntity],
+    config: &ThorConfig,
+) -> RefineOutcome {
+    let best = candidates
+        .iter()
+        .map(|c| {
+            let score = config.weights.combine(
+                c.semantic_score,
+                jaccard_words(&c.phrase, &c.matched_instance),
+                gestalt_similarity(&c.phrase, &c.matched_instance),
+            );
+            (c, score)
+        })
+        .max_by(|(a, sa), (b, sb)| sa.total_cmp(sb).then_with(|| b.phrase.cmp(&a.phrase)));
+    RefineOutcome {
+        best: best.map(|(c, score)| (c.clone(), score)),
+        scored: candidates.len() as u64,
+        pruned: 0,
     }
 }
 
@@ -249,7 +270,7 @@ pub fn extract_entities(
     doc_id: &str,
 ) -> Vec<ExtractedEntity> {
     let mut scratch = ScoreScratch::new();
-    extract_entities_impl(segments, matcher, config, doc_id, None, &mut scratch)
+    extract_entities_with(segments, matcher, config, doc_id, None, &mut scratch)
 }
 
 /// [`extract_entities`] with observability: noun-phrase chunking is
@@ -266,7 +287,7 @@ pub fn extract_entities_metered(
     metrics: &PipelineMetrics,
 ) -> Vec<ExtractedEntity> {
     let mut scratch = ScoreScratch::new();
-    extract_entities_impl(
+    extract_entities_with(
         segments,
         matcher,
         config,
@@ -281,17 +302,6 @@ pub fn extract_entities_metered(
 /// sessions) thread one scratch per worker so refinement allocates
 /// nothing in steady state.
 pub fn extract_entities_with(
-    segments: &[SegmentedSentence],
-    matcher: &SimilarityMatcher,
-    config: &ThorConfig,
-    doc_id: &str,
-    metrics: Option<&PipelineMetrics>,
-    scratch: &mut ScoreScratch,
-) -> Vec<ExtractedEntity> {
-    extract_entities_impl(segments, matcher, config, doc_id, metrics, scratch)
-}
-
-fn extract_entities_impl(
     segments: &[SegmentedSentence],
     matcher: &SimilarityMatcher,
     config: &ThorConfig,

@@ -17,10 +17,8 @@ use thor_text::ScoreScratch;
 
 use crate::config::ThorConfig;
 use crate::document::Document;
-use crate::engine::{concept_instances, PreparedEngine};
+use crate::engine::{concept_instances, PreparedEngine, Unguarded};
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_entities_with;
-use crate::segment::segment_metered;
 use crate::slotfill::{slot_fill_metered, SlotFillStats};
 
 /// Result of one enrichment run.
@@ -209,6 +207,8 @@ pub struct EnrichmentSession {
     /// processes — the session is the long-lived streaming path, so the
     /// DP buffers reach steady state after the first few sentences.
     scratch: ScoreScratch,
+    /// Sum of the `pipeline.inference` spans this session recorded.
+    inference_time: Duration,
 }
 
 impl EnrichmentSession {
@@ -219,40 +219,34 @@ impl EnrichmentSession {
             entities: Vec::new(),
             engine,
             scratch: ScoreScratch::new(),
+            inference_time: Duration::ZERO,
         }
     }
 
     /// Process one document: extract its entities and slot-fill the
     /// session table immediately. Returns the number of newly inserted
-    /// values.
+    /// values. The whole call — segmentation through slot fill — is
+    /// one `pipeline.inference` span.
     pub fn process(&mut self, doc: &Document) -> usize {
         let run = self.metrics.clone();
-        let _span = run.inference.start();
-        run.docs.inc();
-        // Cheap Arc bump so the engine's config/matcher borrows don't
-        // conflict with the `&mut self.scratch` below.
-        let engine = self.engine.clone();
-        let config = engine.config();
-        let segments = segment_metered(
-            doc,
-            engine.subjects(),
-            engine.matcher(),
-            config.segmentation,
-            &run,
-        );
-        let mut extracted = extract_entities_with(
-            &segments,
-            engine.matcher(),
-            config,
-            &doc.id,
-            Some(&run),
-            &mut self.scratch,
-        );
-        // Per-document dedup (matching the batch pipeline's granularity).
-        dedup_entities(&mut extracted);
-        let stats = slot_fill_metered(&mut self.table, &extracted, &run);
-        self.entities.extend(extracted);
-        stats.inserted
+        let (inserted, elapsed) = run.inference.time(|| {
+            let Ok(mut extracted) =
+                self.engine
+                    .extract_document(doc, &run, &mut self.scratch, &Unguarded);
+            // Per-document dedup (matching the batch pipeline's granularity).
+            dedup_entities(&mut extracted);
+            let stats = slot_fill_metered(&mut self.table, &extracted, &run);
+            self.entities.extend(extracted);
+            stats.inserted
+        });
+        self.inference_time += elapsed;
+        inserted
+    }
+
+    /// Total inference time of every [`EnrichmentSession::process`]
+    /// call so far (what the session recorded as `pipeline.inference`).
+    pub fn inference_time(&self) -> Duration {
+        self.inference_time
     }
 
     /// The session's observability handle (the [`Thor`] instance's

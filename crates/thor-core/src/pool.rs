@@ -1,26 +1,32 @@
 //! The shared worker-pool executor behind every parallel serve path.
 //!
-//! Before this module, `pipeline.rs` and `resilient.rs` each spawned a
-//! fresh `std::thread::scope` per call — thread creation and teardown
-//! on every `extract`/`enrich_resilient`, twice over in a τ sweep. The
-//! [`WorkerPool`] keeps one set of detached worker threads alive for
-//! the process (grown on demand, never shrunk) and hands out *scoped
-//! submission*: [`WorkerPool::scope`] lets callers spawn borrowing
-//! closures exactly like `std::thread::scope`, blocking until every
-//! spawned task has finished before it returns.
+//! The [`WorkerPool`] keeps one set of detached worker threads alive
+//! for the process (grown on demand, never shrunk) instead of spawning
+//! threads per call, and hands out *scoped submission*:
+//! [`WorkerPool::scope`] lets callers spawn borrowing closures exactly
+//! like `std::thread::scope`, blocking until every spawned task has
+//! finished before it returns.
 //!
-//! Determinism is unaffected: tasks are self-contained work-queue
-//! drainers over document indices, and the pipeline's final
-//! `dedup_order` sort makes output independent of which worker ran
-//! which document. Panics inside a task are caught, the scope drains,
-//! and the first panic is resumed on the caller thread — the same
-//! observable behaviour as a panicking `std::thread::scope` handle.
+//! Every document-parallel path in the crate — plain `extract`/`enrich`
+//! and both resilient runs — goes through the one fan-out built on it,
+//! `fan_out`: self-contained work-queue drainers over document
+//! indices, one refinement scratch per worker, results streamed to a
+//! single consumer on the calling thread. Determinism is unaffected:
+//! the pipeline's final `dedup_order` sort makes output independent of
+//! which worker ran which document. Panics inside a task are caught,
+//! the scope drains, and the first panic is resumed on the caller
+//! thread — the same observable behaviour as a panicking
+//! `std::thread::scope` handle.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+
+use thor_fault::CancelToken;
+use thor_text::ScoreScratch;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -146,6 +152,87 @@ impl WorkerPool {
             Err(payload) => resume_unwind(payload),
         }
     }
+}
+
+/// Run `work` over every item of `items` and hand each result to
+/// `consume`, always on the calling thread, in completion order.
+///
+/// Up to `threads` workers drain a shared index: the calling thread
+/// plus `threads - 1` helpers from the global [`WorkerPool`] (none at
+/// one thread or one item, so that case is a plain sequential loop).
+/// Each worker owns one [`ScoreScratch`], reused across every item it
+/// takes. The calling thread delivers its own results and, between its
+/// items, the helpers' — it never sits idle waiting on a channel while
+/// items remain. No new item is started once `consume` has returned an
+/// error — the first error is returned after in-flight items finish,
+/// their results dropped — or once `cancel` has fired, which returns
+/// `Ok`: the caller decides what a fired token means.
+pub(crate) fn fan_out<T, R, E>(
+    threads: usize,
+    items: &[T],
+    cancel: &CancelToken,
+    work: impl Fn(&T, &mut ScoreScratch) -> R + Sync,
+    mut consume: impl FnMut(&T, R) -> Result<(), E>,
+) -> Result<(), E>
+where
+    T: Sync,
+    R: Send,
+{
+    let helpers = threads.min(items.len()).saturating_sub(1);
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let claim = || {
+        if stop.load(Ordering::Relaxed) || cancel.is_cancelled() {
+            return None;
+        }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        items.get(i).map(|item| (i, item))
+    };
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let mut first_err = None;
+    let mut deliver = |i: usize, result: R| {
+        if first_err.is_none() {
+            if let Err(e) = consume(&items[i], result) {
+                stop.store(true, Ordering::Relaxed);
+                first_err = Some(e);
+            }
+        }
+    };
+    // The calling thread's share; returns once every helper has hung
+    // up (each sender is dropped when its worker runs out of items).
+    let mut drive = |tx: mpsc::Sender<(usize, R)>| {
+        drop(tx);
+        let mut scratch = ScoreScratch::new();
+        while let Some((i, item)) = claim() {
+            deliver(i, work(item, &mut scratch));
+            for (j, result) in rx.try_iter() {
+                deliver(j, result);
+            }
+        }
+        for (j, result) in rx.iter() {
+            deliver(j, result);
+        }
+    };
+    if helpers == 0 {
+        drive(tx);
+    } else {
+        WorkerPool::global().scope(helpers, |scope| {
+            for _ in 0..helpers {
+                let tx = tx.clone();
+                let (claim, work) = (&claim, &work);
+                scope.spawn(move || {
+                    let mut scratch = ScoreScratch::new();
+                    while let Some((i, item)) = claim() {
+                        if tx.send((i, work(item, &mut scratch))).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drive(tx);
+        });
+    }
+    first_err.map_or(Ok(()), Err)
 }
 
 fn worker_loop(shared: Arc<PoolShared>) {
@@ -319,6 +406,84 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(total.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn fan_out_hands_every_result_to_the_consumer() {
+        let items: Vec<usize> = (0..100).collect();
+        for threads in [1, 4] {
+            let mut seen = Vec::new();
+            let done = fan_out(
+                threads,
+                &items,
+                &CancelToken::none(),
+                |&i, _| i * 2,
+                |&i, doubled| {
+                    assert_eq!(doubled, i * 2);
+                    seen.push(i);
+                    Ok::<(), ()>(())
+                },
+            );
+            assert_eq!(done, Ok(()));
+            seen.sort_unstable();
+            assert_eq!(seen, items, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn fan_out_stops_at_the_first_consumer_error() {
+        let items: Vec<usize> = (0..1000).collect();
+        for threads in [1, 4] {
+            let caller = std::thread::current().id();
+            let failed = AtomicBool::new(false);
+            let started = AtomicUsize::new(0);
+            let mut consumed = 0;
+            let done = fan_out(
+                threads,
+                &items,
+                &CancelToken::none(),
+                |_, _| {
+                    started.fetch_add(1, Ordering::Relaxed);
+                    // Helpers hold their item until the consumer has
+                    // failed, so the run cannot drain before the error.
+                    while std::thread::current().id() != caller && !failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                },
+                |_, ()| {
+                    consumed += 1;
+                    failed.store(true, Ordering::SeqCst);
+                    Err("stop")
+                },
+            );
+            assert_eq!(done, Err("stop"), "threads={threads}");
+            assert_eq!(consumed, 1, "no result is consumed after the error");
+            assert!(
+                started.load(Ordering::Relaxed) < items.len(),
+                "threads={threads}: workers kept starting items"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_starts_nothing_once_cancelled() {
+        let items: Vec<usize> = (0..64).collect();
+        let token = CancelToken::none();
+        token.cancel();
+        for threads in [1, 4] {
+            let started = AtomicUsize::new(0);
+            let done = fan_out(
+                threads,
+                &items,
+                &token,
+                |_, _| {
+                    started.fetch_add(1, Ordering::Relaxed);
+                },
+                |_, ()| Ok::<(), ()>(()),
+            );
+            assert_eq!(done, Ok(()));
+            assert_eq!(started.load(Ordering::Relaxed), 0, "threads={threads}");
+        }
     }
 
     #[test]

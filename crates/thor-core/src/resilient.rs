@@ -21,36 +21,39 @@
 //!
 //! The run itself is hosted on a [`PreparedEngine`]
 //! ([`PreparedEngine::enrich_resilient`]): Preparation happens once in
-//! [`Thor::prepare`], parallel workers come from the shared
-//! [`crate::WorkerPool`], and the same engine can serve resilient and
-//! plain calls alike.
+//! [`Thor::prepare`], and the same engine can serve resilient and plain
+//! calls alike.
+//!
+//! **One document path.** This layer adds no pipeline of its own: each
+//! document runs through the same per-document core as
+//! [`PreparedEngine::enrich`] (`PreparedEngine::extract_document`, segment
+//! → extract) and the same `WorkerPool` fan-out, with admission control
+//! in front and every stage wrapped in a cancel check, its failpoint and
+//! `catch_unwind`. The batch run is the streaming run over the borrowed
+//! slice, so batch and streaming share one body.
 //!
 //! Fault-injection seams (`validate`, `segment`, `extract`, `slot_fill`,
 //! plus `checkpoint_save`/`atomic_write` inside thor-fault) are compiled
 //! in via [`thor_fault::fail_point`]; see `thor_fault::failpoint::SITES`.
 
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use thor_data::Table;
 use thor_fault::{
     fail_point, fingerprint, validate_text, CancelToken, Checkpoint, DocumentPolicy, EntityRecord,
     QuarantineEntry, QuarantineReport, ThorError, ThorResult,
 };
-use thor_match::SimilarityMatcher;
 use thor_obs::PipelineMetrics;
 use thor_text::ScoreScratch;
 
 use crate::config::ThorConfig;
 use crate::document::Document;
-use crate::engine::PreparedEngine;
+use crate::engine::{PreparedEngine, StageGuard};
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_entities_with;
 use crate::pipeline::{dedup_entities, EnrichmentResult, Thor};
-use crate::pool::WorkerPool;
-use crate::segment::segment_metered;
+use crate::pool::fan_out;
 use crate::slotfill::slot_fill_metered;
 
 /// Failure policy of a resilient run.
@@ -118,14 +121,16 @@ pub struct ResilientOutcome {
     pub checkpoints_skipped: usize,
 }
 
-/// What happened to one document.
-enum DocStatus {
-    Done(Vec<ExtractedEntity>),
+/// Why one document produced no entities.
+enum DocFailure {
     Quarantined(QuarantineEntry),
     /// The run's cancellation token fired before or between this
     /// document's stages — a run-level abort, not a document failure.
     Cancelled(ThorError),
 }
+
+/// What happened to one document.
+type DocStatus = Result<Vec<ExtractedEntity>, DocFailure>;
 
 fn to_record(e: &ExtractedEntity) -> EntityRecord {
     EntityRecord {
@@ -173,13 +178,13 @@ impl RunState {
         run: &PipelineMetrics,
     ) -> ThorResult<()> {
         match status {
-            DocStatus::Done(entities) => {
+            Ok(entities) => {
                 self.checkpoint.processed.insert(doc_id);
                 self.checkpoint
                     .entities
                     .extend(entities.iter().map(to_record));
             }
-            DocStatus::Quarantined(entry) if self.mode == RunMode::Strict => {
+            Err(DocFailure::Quarantined(entry)) if self.mode == RunMode::Strict => {
                 let _ = self.save(run);
                 return Err(ThorError::new(
                     entry.kind,
@@ -189,12 +194,12 @@ impl RunState {
                     ),
                 ));
             }
-            DocStatus::Quarantined(entry) => {
+            Err(DocFailure::Quarantined(entry)) => {
                 run.quarantine_docs.inc();
                 self.checkpoint.processed.insert(doc_id);
                 self.checkpoint.quarantine.push(entry);
             }
-            DocStatus::Cancelled(err) => {
+            Err(DocFailure::Cancelled(err)) => {
                 // Deadline aborts regardless of mode, after a
                 // best-effort save so a checkpointed run resumes from
                 // the completed prefix. The cancelled document is not
@@ -241,72 +246,54 @@ impl RunState {
     }
 }
 
-/// Process one document through admission control, segmentation, and
-/// extraction, isolating panics to the document.
-#[allow(clippy::too_many_arguments)] // the run's shared context, spelled out
+/// The resilient wrapper around one document stage: a cancel check,
+/// the stage's failpoint, then the stage under `catch_unwind`. A
+/// failure quarantines the document at that stage; a fired token
+/// cancels it.
+struct Guarded<'a> {
+    doc_id: &'a str,
+    cancel: &'a CancelToken,
+}
+
+impl Guarded<'_> {
+    fn quarantined(&self, stage: &str, err: ThorError) -> DocFailure {
+        DocFailure::Quarantined(QuarantineEntry::from_error(self.doc_id, stage, &err))
+    }
+}
+
+impl StageGuard for Guarded<'_> {
+    type Error = DocFailure;
+
+    fn stage<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> Result<T, DocFailure> {
+        self.cancel.check(name).map_err(DocFailure::Cancelled)?;
+        match catch_unwind(AssertUnwindSafe(|| fail_point(name).map(|()| f()))) {
+            Ok(Ok(out)) => Ok(out),
+            Ok(Err(e)) => Err(self.quarantined(name, e)),
+            Err(payload) => Err(self.quarantined(name, ThorError::panic(name, payload.as_ref()))),
+        }
+    }
+}
+
+/// Admission control (stage `validate`), then the engine's per-document
+/// core with every stage guarded — panics and errors cost this document
+/// only.
 fn process_doc(
-    config: &ThorConfig,
-    matcher: &SimilarityMatcher,
-    subjects: &[String],
+    engine: &PreparedEngine,
     doc: &Document,
-    policy: &DocumentPolicy,
-    cancel: &CancelToken,
+    opts: &ResilientOptions,
     run: &PipelineMetrics,
     scratch: &mut ScoreScratch,
 ) -> DocStatus {
-    let quarantined = |stage: &str, err: ThorError| {
-        DocStatus::Quarantined(QuarantineEntry::from_error(&doc.id, stage, &err))
+    let guard = Guarded {
+        doc_id: &doc.id,
+        cancel: &opts.cancel,
     };
-
-    if let Err(e) = cancel.check("validate") {
-        return DocStatus::Cancelled(e);
-    }
-    if let Err(e) = fail_point("validate").and_then(|()| validate_text(&doc.id, &doc.text, policy))
-    {
-        return quarantined("validate", e);
-    }
-
-    if let Err(e) = cancel.check("segment") {
-        return DocStatus::Cancelled(e);
-    }
-    let segments = match catch_unwind(AssertUnwindSafe(|| {
-        fail_point("segment")?;
-        Ok(segment_metered(
-            doc,
-            subjects,
-            matcher,
-            config.segmentation,
-            run,
-        ))
-    })) {
-        Ok(Ok(segments)) => segments,
-        Ok(Err(e)) => return quarantined("segment", e),
-        Err(payload) => {
-            return quarantined("segment", ThorError::panic("segment", payload.as_ref()))
-        }
-    };
-
-    if let Err(e) = cancel.check("extract") {
-        return DocStatus::Cancelled(e);
-    }
-    match catch_unwind(AssertUnwindSafe(|| {
-        fail_point("extract")?;
-        Ok(extract_entities_with(
-            &segments,
-            matcher,
-            config,
-            &doc.id,
-            Some(run),
-            scratch,
-        ))
-    })) {
-        Ok(Ok(entities)) => {
-            run.docs.inc();
-            DocStatus::Done(entities)
-        }
-        Ok(Err(e)) => quarantined("extract", e),
-        Err(payload) => quarantined("extract", ThorError::panic("extract", payload.as_ref())),
-    }
+    guard
+        .stage("validate", || {
+            validate_text(&doc.id, &doc.text, &opts.policy)
+        })?
+        .map_err(|e| guard.quarantined("validate", e))?;
+    engine.extract_document(doc, run, scratch, &guard)
 }
 
 /// Fingerprint tying a checkpoint to the inputs and configuration that
@@ -368,54 +355,23 @@ impl PreparedEngine {
     /// Resilient enrichment served from this engine: admission control,
     /// per-document panic isolation, quarantine, checkpoint/resume —
     /// without re-running Preparation. Workers come from the shared
-    /// [`WorkerPool`].
+    /// [`crate::WorkerPool`].
     pub fn enrich_resilient(
         &self,
         docs: &[Document],
         opts: &ResilientOptions,
     ) -> ThorResult<ResilientOutcome> {
-        // Resume correctness keys the processed-set on document ids.
-        let mut seen = std::collections::HashSet::new();
-        for d in docs {
-            if !seen.insert(&d.id) {
-                return Err(ThorError::config(format!(
-                    "duplicate document id `{}` (resilient runs require unique ids)",
-                    d.id
-                )));
-            }
-        }
-
-        let run = self.run_metrics();
-        let run_fp = run_fingerprint(
-            self.config(),
-            self.table(),
-            docs.iter().map(|d| d.id.as_str()),
-        );
-        let mut state = self.open_run_state(opts, run_fp, &run)?;
-
-        let pending: Vec<&Document> = docs
-            .iter()
-            .filter(|d| !state.checkpoint.processed.contains(&d.id))
-            .collect();
-        let resumed_docs = docs.len() - pending.len();
-        let processed_docs = pending.len();
-
-        let inference_t0 = std::time::Instant::now();
-        self.process_pending(&pending, opts, &run, &mut state)?;
-        self.finalize_run(
-            state,
-            &opts.cancel,
-            &run,
-            resumed_docs,
-            processed_docs,
-            inference_t0,
-        )
+        // The streaming run over the borrowed slice, in one chunk:
+        // every pending document shares one fan-out, no body is cloned.
+        let ids: Vec<String> = docs.iter().map(|d| d.id.clone()).collect();
+        let stream = docs.iter().map(|d| (d.id.clone(), Ok(d)));
+        self.enrich_resilient_stream(&ids, stream, opts, docs.len())
     }
 
     /// Out-of-core resilient enrichment: documents arrive from a lazy
     /// reader, at most `chunk_size` bodies are resident at a time, and
-    /// each chunk runs through the same [`WorkerPool`] scheduling as the
-    /// batch path. Output is **byte-identical** to
+    /// each chunk runs through the shared [`crate::WorkerPool`]
+    /// fan-out. Output is **byte-identical** to
     /// [`enrich_resilient`](Self::enrich_resilient) over the same
     /// corpus, for any chunk size, thread count, and cache setting:
     /// entities accumulate in checkpoint order and final deduplication
@@ -429,8 +385,9 @@ impl PreparedEngine {
     /// pair per entry of `doc_ids`, in order — a mismatch aborts the
     /// run. A failed read (`Err` body) is a strict-mode error; in
     /// lenient mode it is quarantined at stage `read_doc` and the run
-    /// continues.
-    pub fn enrich_resilient_stream<I>(
+    /// continues. Bodies may be owned or borrowed (`D` is `Document`
+    /// or `&Document`).
+    pub fn enrich_resilient_stream<I, D>(
         &self,
         doc_ids: &[String],
         docs: I,
@@ -438,8 +395,10 @@ impl PreparedEngine {
         chunk_size: usize,
     ) -> ThorResult<ResilientOutcome>
     where
-        I: IntoIterator<Item = (String, ThorResult<Document>)>,
+        I: IntoIterator<Item = (String, ThorResult<D>)>,
+        D: Borrow<Document> + Sync,
     {
+        // Resume correctness keys the processed-set on document ids.
         let mut seen = std::collections::HashSet::new();
         for id in doc_ids {
             if !seen.insert(id) {
@@ -467,7 +426,7 @@ impl PreparedEngine {
         loop {
             // Fill one bounded chunk, skipping checkpoint-completed ids
             // without materializing their bodies.
-            let mut chunk: Vec<Document> = Vec::with_capacity(chunk_size);
+            let mut chunk: Vec<D> = Vec::with_capacity(chunk_size);
             for (id, body) in docs.by_ref() {
                 stream_len += 1;
                 match expected.next() {
@@ -490,10 +449,10 @@ impl PreparedEngine {
                 }
                 match body {
                     Ok(doc) => {
-                        if doc.id != id {
+                        if doc.borrow().id != id {
                             return Err(ThorError::config(format!(
                                 "document stream yielded body `{}` under id `{id}`",
-                                doc.id
+                                doc.borrow().id
                             )));
                         }
                         chunk.push(doc);
@@ -509,13 +468,8 @@ impl PreparedEngine {
                     }
                     Err(e) => {
                         processed_docs += 1;
-                        state.record(
-                            id.clone(),
-                            DocStatus::Quarantined(QuarantineEntry::from_error(
-                                &id, "read_doc", &e,
-                            )),
-                            &run,
-                        )?;
+                        let entry = QuarantineEntry::from_error(&id, "read_doc", &e);
+                        state.record(id, Err(DocFailure::Quarantined(entry)), &run)?;
                     }
                 }
             }
@@ -523,10 +477,21 @@ impl PreparedEngine {
                 break;
             }
             processed_docs += chunk.len();
-            let pending: Vec<&Document> = chunk.iter().collect();
-            self.process_pending(&pending, opts, &run, &mut state)?;
+            fan_out(
+                self.config().threads,
+                &chunk,
+                &opts.cancel,
+                |doc, scratch| process_doc(self, doc.borrow(), opts, &run, scratch),
+                |doc, status| state.record(doc.borrow().id.clone(), status, &run),
+            )?;
+            if opts.cancel.is_cancelled() {
+                // The fan-out winds down quietly; `finalize_run` turns
+                // the fired token into the run's deadline error.
+                break;
+            }
         }
-        if stream_len != doc_ids.len() {
+        // A cancelled run stops reading early; that is not a short stream.
+        if stream_len != doc_ids.len() && !opts.cancel.is_cancelled() {
             return Err(ThorError::config(format!(
                 "document stream ended after {stream_len} of {} declared ids",
                 doc_ids.len()
@@ -590,93 +555,10 @@ impl PreparedEngine {
         Ok(state)
     }
 
-    /// Run `pending` through admission/segment/extract on the shared
-    /// [`WorkerPool`], recording every outcome into `state`. Used once
-    /// by the batch path and once per chunk by the streaming path.
-    fn process_pending(
-        &self,
-        pending: &[&Document],
-        opts: &ResilientOptions,
-        run: &PipelineMetrics,
-        state: &mut RunState,
-    ) -> ThorResult<()> {
-        let config = self.config();
-        let matcher = self.matcher();
-        let subjects = self.subjects();
-        let workers = config.threads.min(pending.len().max(1));
-        if workers <= 1 {
-            let mut scratch = ScoreScratch::new();
-            for doc in pending.iter().copied() {
-                let status = process_doc(
-                    config,
-                    matcher,
-                    subjects,
-                    doc,
-                    &opts.policy,
-                    &opts.cancel,
-                    run,
-                    &mut scratch,
-                );
-                state.record(doc.id.clone(), status, run)?;
-            }
-            Ok(())
-        } else {
-            let next = AtomicUsize::new(0);
-            let cancel = AtomicBool::new(false);
-            WorkerPool::global().scope(workers, |scope| {
-                let (tx, rx) = mpsc::channel::<(String, DocStatus)>();
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let (next, cancel) = (&next, &cancel);
-                    let policy = &opts.policy;
-                    let token = &opts.cancel;
-                    scope.spawn(move || {
-                        let mut scratch = ScoreScratch::new();
-                        loop {
-                            if cancel.load(Ordering::Relaxed) || token.is_cancelled() {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(doc) = pending.get(i).copied() else {
-                                break;
-                            };
-                            let status = process_doc(
-                                config,
-                                matcher,
-                                subjects,
-                                doc,
-                                policy,
-                                token,
-                                run,
-                                &mut scratch,
-                            );
-                            if tx.send((doc.id.clone(), status)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                // The consumer runs on this thread inside the scope: the
-                // senders drop as workers finish, ending the loop.
-                drop(tx);
-                let mut first_err = None;
-                for (doc_id, status) in rx {
-                    if let Err(e) = state.record(doc_id, status, run) {
-                        cancel.store(true, Ordering::Relaxed);
-                        first_err.get_or_insert(e);
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            })
-        }
-    }
-
-    /// Final checkpoint save, deduplication, and slot fill — shared by
-    /// the batch and streaming paths, so their outputs are identical by
-    /// construction.
+    /// Final checkpoint save, deduplication, and slot fill. The
+    /// returned `inference_time` (from `inference_t0`, before the first
+    /// document, through slot fill) is recorded once as
+    /// `pipeline.inference`.
     fn finalize_run(
         &self,
         mut state: RunState,

@@ -1,21 +1,30 @@
 //! The refinement kernels and the early abandon are *performance*
-//! dials, not semantic ones: enriching the same table from the same
+//! devices, not semantic ones: enriching the same table from the same
 //! documents must produce a byte-identical CSV serialization and
-//! identical entity predictions whether refinement runs on the
-//! allocation-free kernel path or the documented reference
-//! implementations, with the score-bound early abandon on or off, on
-//! one thread or four, cached or uncached. This is the end-to-end
+//! bit-identical entity predictions whether refinement runs on the
+//! allocation-free kernel path with score-bound pruning
+//! (`refine_candidates`, what every entry point runs) or on the
+//! documented reference implementation (`refine_candidates_reference`,
+//! every candidate scored from the raw strings). The reference side is
+//! the per-document pipeline rebuilt here from public calls; the kernel
+//! side is `PreparedEngine::enrich` on one thread or four, owned or
+//! memory-mapped, cached or uncached. This is the end-to-end
 //! counterpart of the per-function bit-equality proptests in
 //! `thor_text::kernels`.
 
-use thor_core::extract::{refine_candidates, RefineOutcome};
-use thor_core::{Document, ExtractedEntity, Thor, ThorConfig};
+use std::cmp::Ordering;
+
+use thor_core::extract::{refine_candidates, refine_candidates_reference, RefineOutcome};
+use thor_core::segment::segment;
+use thor_core::slotfill::slot_fill;
+use thor_core::{Document, ExtractedEntity, MapMode, PreparedEngine, Thor, ThorConfig};
 use thor_data::csv::to_csv;
 use thor_data::{Schema, Table};
 use thor_embed::{SemanticSpaceBuilder, VectorStore};
-use thor_index::CandidateEntity;
+use thor_index::{CandidateEntity, CandidateSource};
+use thor_nlp::{chunk_sentence, Lexicon, RuleTagger};
 use thor_obs::PipelineMetrics;
-use thor_text::ScoreScratch;
+use thor_text::{tokenize, ScoreScratch};
 
 fn store() -> VectorStore {
     SemanticSpaceBuilder::new(32, 55)
@@ -85,23 +94,96 @@ fn docs() -> Vec<Document> {
     .collect()
 }
 
-#[derive(Clone, Copy)]
-struct RefineKnobs {
-    reference: bool,
-    early_abandon: bool,
-    threads: usize,
-    cache_capacity: usize,
+/// What the reference pipeline produced: the enriched CSV, the deduped
+/// entities, and how many candidates refinement scored.
+struct ReferenceRun {
+    csv: String,
+    entities: Vec<ExtractedEntity>,
+    scored: u64,
 }
 
-fn enrich(tau: f64, knobs: RefineKnobs) -> (String, Vec<ExtractedEntity>) {
+/// The pipeline's dedup order: entities sharing a (document, concept,
+/// phrase) key ranked best-score-first, every other field breaking ties.
+fn dedup_order(a: &ExtractedEntity, b: &ExtractedEntity) -> Ordering {
+    a.key()
+        .cmp(&b.key())
+        .then_with(|| b.score.total_cmp(&a.score))
+        .then_with(|| a.phrase.cmp(&b.phrase))
+        .then_with(|| a.matched_instance.cmp(&b.matched_instance))
+        .then_with(|| a.subject.cmp(&b.subject))
+        .then_with(|| a.sentence_index.cmp(&b.sentence_index))
+}
+
+/// Enrich `docs` through the per-document pipeline rebuilt from public
+/// calls — `segment` → (`tokenize` + `chunk_sentence`) → anchored
+/// candidate generation → `refine_candidates_reference`, then dedup and
+/// `slot_fill` over a copy of the engine's table.
+fn reference_enrich(engine: &PreparedEngine, docs: &[Document]) -> ReferenceRun {
+    let config = engine.config();
+    assert!(
+        config.np_chunking && config.context_gate.is_none(),
+        "the rebuilt pipeline covers the default configuration only"
+    );
+    let matcher = engine.matcher();
+    let source: &dyn CandidateSource = matcher;
+    let tagger = RuleTagger::default();
+    let lexicon = Lexicon::english();
+    let anchor = |w: &str| lexicon.tag_of(w, false).is_nominal();
+    let mut entities = Vec::new();
+    let mut scored = 0;
+    for doc in docs {
+        for seg in segment(doc, engine.subjects(), matcher, config.segmentation) {
+            let tokens = tokenize(&seg.sentence.text);
+            let words: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
+            if words.is_empty() {
+                continue;
+            }
+            for np in chunk_sentence(&words, &tagger) {
+                let candidates = source.candidates_anchored(&np.text, &anchor);
+                let outcome = refine_candidates_reference(&candidates, config);
+                assert_eq!(outcome.pruned, 0, "the reference never prunes");
+                scored += outcome.scored;
+                if let Some((candidate, score)) = outcome.best {
+                    entities.push(ExtractedEntity {
+                        subject: seg.subject.clone(),
+                        concept: candidate.concept,
+                        phrase: candidate.phrase,
+                        score,
+                        matched_instance: candidate.matched_instance,
+                        doc_id: doc.id.clone(),
+                        sentence_index: seg.index,
+                    });
+                }
+            }
+        }
+    }
+    entities.sort_by(dedup_order);
+    entities.dedup_by(|next, first| next.key() == first.key());
+    let mut table = engine.table().clone();
+    slot_fill(&mut table, &entities);
+    ReferenceRun {
+        csv: to_csv(&table),
+        entities,
+        scored,
+    }
+}
+
+fn engine(tau: f64, cache_capacity: usize) -> PreparedEngine {
     let mut config = ThorConfig::with_tau(tau);
-    config.reference_refine = knobs.reference;
-    config.early_abandon = knobs.early_abandon;
-    config.threads = knobs.threads;
-    config.cache_capacity = knobs.cache_capacity;
-    let thor = Thor::new(store(), config);
-    let result = thor.enrich(&table(), &docs());
-    (to_csv(&result.table), result.entities)
+    config.cache_capacity = cache_capacity;
+    Thor::new(store(), config).prepare(&table())
+}
+
+/// The same engine saved and loaded back memory-mapped.
+fn mapped(engine: &PreparedEngine, tag: &str) -> PreparedEngine {
+    let path = std::env::temp_dir().join(format!(
+        "thor-refine-kernels-{}-{tag}.eng",
+        std::process::id()
+    ));
+    engine.save(&path).expect("save engine");
+    let loaded = PreparedEngine::load_with(&path, MapMode::Mapped).expect("load mapped");
+    std::fs::remove_file(&path).ok();
+    loaded
 }
 
 /// Scores compared down to the bit, not just `==`: the whole point of
@@ -122,93 +204,53 @@ fn assert_entities_bit_equal(reference: &[ExtractedEntity], got: &[ExtractedEnti
 fn kernel_matches_reference_across_execution_knobs() {
     for tau10 in [5, 7, 9] {
         let tau = tau10 as f64 / 10.0;
-        let (reference_csv, reference_entities) = enrich(
-            tau,
-            RefineKnobs {
-                reference: true,
-                early_abandon: false,
-                threads: 1,
-                cache_capacity: 4096,
-            },
-        );
-        assert!(
-            reference_csv.contains("Disease"),
-            "reference CSV should serialize the schema"
-        );
-        for reference in [false, true] {
-            for early_abandon in [false, true] {
+        for cache_capacity in [0, 4096] {
+            let owned = engine(tau, cache_capacity);
+            let reference = reference_enrich(&owned, &docs());
+            assert!(
+                reference.csv.contains("Disease"),
+                "reference CSV should serialize the schema"
+            );
+            let mapped = mapped(&owned, &format!("{tau10}-{cache_capacity}"));
+            for (backing, engine) in [("owned", &owned), ("mapped", &mapped)] {
                 for threads in [1, 4] {
-                    for cache_capacity in [0, 4096] {
-                        let knobs = RefineKnobs {
-                            reference,
-                            early_abandon,
-                            threads,
-                            cache_capacity,
-                        };
-                        let (csv, entities) = enrich(tau, knobs);
-                        let label = format!(
-                            "tau={tau}, reference={reference}, \
-                             early_abandon={early_abandon}, threads={threads}, \
-                             cache={cache_capacity}"
-                        );
-                        assert_eq!(reference_csv, csv, "CSV diverged: {label}");
-                        assert_entities_bit_equal(&reference_entities, &entities, &label);
-                    }
+                    let result = engine.with_threads(threads).enrich(&docs());
+                    let label =
+                        format!("tau={tau}, cache={cache_capacity}, {backing}, threads={threads}");
+                    assert_eq!(
+                        reference.csv,
+                        to_csv(&result.table),
+                        "CSV diverged: {label}"
+                    );
+                    assert_entities_bit_equal(&reference.entities, &result.entities, &label);
                 }
             }
         }
     }
 }
 
-fn metered_counts(knobs: RefineKnobs) -> (u64, u64, usize) {
-    let mut config = ThorConfig::with_tau(0.6);
-    config.reference_refine = knobs.reference;
-    config.early_abandon = knobs.early_abandon;
-    config.threads = knobs.threads;
-    config.cache_capacity = knobs.cache_capacity;
-    let metrics = PipelineMetrics::new();
-    let thor = Thor::new(store(), config).with_metrics(metrics.clone());
-    let result = thor.enrich(&table(), &docs());
-    let snap = metrics.snapshot();
-    (
-        snap.count("refine.scored"),
-        snap.count("refine.pruned"),
-        result.entities.len(),
-    )
-}
-
 #[test]
 fn refine_counters_account_for_every_candidate() {
-    let base = RefineKnobs {
-        reference: false,
-        early_abandon: true,
-        threads: 1,
-        cache_capacity: 4096,
-    };
-    let (scored_fast, pruned_fast, entities_fast) = metered_counts(base);
-    assert!(scored_fast > 0, "the corpus must exercise refinement");
-    assert!(entities_fast > 0, "the corpus must produce entities");
+    let metrics = PipelineMetrics::new();
+    let engine = engine(0.6, 4096).with_metrics(metrics.clone());
+    let result = engine.enrich(&docs());
+    let snap = metrics.snapshot();
+    let (scored, pruned) = (snap.count("refine.scored"), snap.count("refine.pruned"));
+    assert!(scored > 0, "the corpus must exercise refinement");
+    assert!(pruned > 0, "the early abandon must prune on this corpus");
+    assert!(
+        !result.entities.is_empty(),
+        "the corpus must produce entities"
+    );
 
-    // Early abandon off: every candidate is scored, none pruned.
-    let (scored_full, pruned_full, entities_full) = metered_counts(RefineKnobs {
-        early_abandon: false,
-        ..base
-    });
-    assert_eq!(pruned_full, 0, "no pruning with early abandon disabled");
-    assert_eq!(entities_full, entities_fast);
-
-    // The reference path never prunes, even with early abandon on.
-    let (scored_ref, pruned_ref, entities_ref) = metered_counts(RefineKnobs {
-        reference: true,
-        ..base
-    });
-    assert_eq!(pruned_ref, 0, "reference path never prunes");
-    assert_eq!(scored_ref, scored_full, "reference scores everything");
-    assert_eq!(entities_ref, entities_fast);
+    // The reference scores every candidate and selects the same
+    // entities.
+    let reference = reference_enrich(&engine, &docs());
+    assert_eq!(reference.entities, result.entities);
 
     // scored + pruned is conserved: the abandon skips work, it does not
     // skip candidates.
-    assert_eq!(scored_fast + pruned_fast, scored_full);
+    assert_eq!(scored + pruned, reference.scored);
 }
 
 #[test]
@@ -216,8 +258,7 @@ fn refine_candidates_handles_foreign_instances() {
     // A matched_instance that is not one of the matcher's embedded
     // seeds exercises the defensive per-call PhraseSyntax fallback;
     // its score must equal the reference computation exactly.
-    let thor = Thor::new(store(), ThorConfig::with_tau(0.6));
-    let engine = thor.prepare(&table());
+    let engine = engine(0.6, 4096);
     let matcher = engine.matcher();
     let candidates = vec![
         CandidateEntity {
@@ -237,10 +278,8 @@ fn refine_candidates_handles_foreign_instances() {
     ];
     let mut scratch = ScoreScratch::new();
     let config = ThorConfig::with_tau(0.6);
-    let mut reference_config = config.clone();
-    reference_config.reference_refine = true;
     let kernel: RefineOutcome = refine_candidates(&candidates, matcher, &config, &mut scratch);
-    let reference = refine_candidates(&candidates, matcher, &reference_config, &mut scratch);
+    let reference = refine_candidates_reference(&candidates, &config);
     let (kc, ks) = kernel.best.expect("kernel winner");
     let (rc, rs) = reference.best.expect("reference winner");
     assert_eq!(kc, rc);

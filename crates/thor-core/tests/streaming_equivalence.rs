@@ -4,10 +4,21 @@
 //! predictions. Slot filling is a set-semantic idempotent insert and
 //! entity keys carry the document id, so stream order must be
 //! unobservable in the fixed point.
+//!
+//! Differential: every entry point — plain `enrich`, a session, the
+//! resilient batch run and the resilient stream at two chunk sizes, each
+//! at one thread and four — runs the same per-document core, so all of
+//! them produce byte-identical CSVs and entities, identical stage
+//! counts, and the same `pipeline.inference` definition.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
-use thor_core::{Document, Thor, ThorConfig};
-use thor_data::{Schema, Table};
+use thor_core::{
+    entities_tsv, Document, ExtractedEntity, PipelineMetrics, PreparedEngine, ResilientOptions,
+    Thor, ThorConfig,
+};
+use thor_data::{to_csv, Schema, Table};
 use thor_embed::SemanticSpaceBuilder;
 
 fn thor() -> Thor {
@@ -161,5 +172,120 @@ proptest! {
             prop_assert_eq!(inserted, 0, "re-processing must not insert");
         }
         prop_assert_eq!(once, fingerprint(session.table()));
+    }
+}
+
+/// Every entry point of the pipeline, as `(name, run)`: each run takes
+/// an engine and the corpus and returns the enriched table, the
+/// entities and the reported inference time.
+type EntryPoint = fn(&PreparedEngine, &[Document]) -> (Table, Vec<ExtractedEntity>, Duration);
+
+fn entry_points() -> Vec<(&'static str, EntryPoint)> {
+    fn stream(
+        engine: &PreparedEngine,
+        docs: &[Document],
+        chunk: usize,
+    ) -> (Table, Vec<ExtractedEntity>, Duration) {
+        let ids: Vec<String> = docs.iter().map(|d| d.id.clone()).collect();
+        let bodies = docs.iter().map(|d| (d.id.clone(), Ok(d.clone())));
+        let r = engine
+            .enrich_resilient_stream(&ids, bodies, &ResilientOptions::default(), chunk)
+            .expect("clean stream")
+            .result;
+        (r.table, r.entities, r.inference_time)
+    }
+    vec![
+        ("enrich", |engine, docs| {
+            let r = engine.enrich(docs);
+            (r.table, r.entities, r.inference_time)
+        }),
+        ("session", |engine, docs| {
+            let mut session = engine.session();
+            for doc in docs {
+                session.process(doc);
+            }
+            let (entities, time) = (session.entities().to_vec(), session.inference_time());
+            (session.finish(), entities, time)
+        }),
+        ("enrich_resilient", |engine, docs| {
+            let r = engine
+                .enrich_resilient(docs, &ResilientOptions::default())
+                .expect("clean run")
+                .result;
+            (r.table, r.entities, r.inference_time)
+        }),
+        ("stream/chunk=1", |engine, docs| stream(engine, docs, 1)),
+        ("stream/chunk=64", |engine, docs| stream(engine, docs, 64)),
+    ]
+}
+
+/// A fixed corpus with ids in sorted order (a session's entities come
+/// out in feed order, the batch paths' in id order).
+fn corpus() -> Vec<Document> {
+    let picks: Vec<Vec<usize>> = (0..12)
+        .map(|i| (0..1 + i % 4).map(|k| (i * 3 + k * 5) % 7).collect())
+        .collect();
+    docs_from(&picks)
+}
+
+const COUNTS: [&str; 5] = [
+    "docs",
+    "sentences",
+    "candidates",
+    "entities",
+    "slots.inserted",
+];
+
+#[test]
+fn every_entry_point_produces_identical_output_and_counts() {
+    let docs = corpus();
+    let engine = thor().prepare(&table());
+    let mut reference: Option<(String, String, Vec<ExtractedEntity>, Vec<u64>)> = None;
+    for (name, run) in entry_points() {
+        for threads in [1usize, 4] {
+            let metrics = PipelineMetrics::new();
+            let metered = engine.with_threads(threads).with_metrics(metrics.clone());
+            let (table, entities, _) = run(&metered, &docs);
+            let snap = metrics.snapshot();
+            let counts: Vec<u64> = COUNTS.iter().map(|c| snap.count(c)).collect();
+            let answer = (to_csv(&table), entities_tsv(&entities), entities, counts);
+            let label = format!("{name}, threads={threads}");
+            match &reference {
+                None => {
+                    assert!(answer.3[3] > 0, "the corpus must produce entities");
+                    reference = Some(answer);
+                }
+                Some((csv, tsv, entities, counts)) => {
+                    assert_eq!(&answer.0, csv, "{label}: CSV diverged");
+                    assert_eq!(&answer.1, tsv, "{label}: entity TSV diverged");
+                    assert_eq!(&answer.2, entities, "{label}: entities diverged");
+                    assert_eq!(&answer.3, counts, "{label}: {COUNTS:?} diverged");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn inference_time_is_one_span_from_segment_through_slot_fill() {
+    let docs = corpus();
+    let engine = thor().prepare(&table());
+    for (name, run) in entry_points() {
+        let metrics = PipelineMetrics::new();
+        let metered = engine.with_metrics(metrics.clone());
+        let (_, _, inference_time) = run(&metered, &docs);
+        assert_eq!(
+            metrics.inference.total(),
+            inference_time,
+            "{name}: pipeline.inference differs from the returned inference_time"
+        );
+        assert!(
+            metrics.slot_fill.spans() > 0,
+            "{name}: no slot fill recorded"
+        );
+        assert!(
+            metrics.segment.total() + metrics.slot_fill.total() <= inference_time,
+            "{name}: segment + slot fill fall outside pipeline.inference"
+        );
     }
 }

@@ -18,10 +18,8 @@
 //!   behind and a completed rename survives power loss.
 //! - [`cancel`] — the cooperative [`CancelToken`] checked between
 //!   pipeline stages, backing per-request deadline budgets.
-//! - [`artifact`] — the versioned binary artifact container (magic +
-//!   format version + FNV-1a checksum header) used by persistable
-//!   engine bundles; rejects corrupt/truncated/mismatched files before
-//!   any payload parsing runs.
+//! - [`artifact`] — the payload codec ([`ByteWriter`]/[`ByteReader`])
+//!   and the FNV-1a checksum every container layer builds on.
 //! - [`section`] — the v2 sectioned artifact container: 64-byte-aligned
 //!   named sections with per-section checksums and a checksummed
 //!   directory, designed so hot arrays can be used in place from a
@@ -54,7 +52,7 @@ pub mod section;
 pub mod validate;
 pub mod view;
 
-pub use artifact::{fnv1a, read_artifact, write_artifact, ByteReader, ByteWriter};
+pub use artifact::{fnv1a, ByteReader, ByteWriter};
 pub use atomic_io::{atomic_write, read_bytes, read_to_string};
 pub use cancel::CancelToken;
 pub use chain::{DeltaMeta, SectionChain, DELTA_META_SECTION, DELTA_META_VERSION, MAX_CHAIN_DEPTH};

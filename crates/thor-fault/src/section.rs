@@ -50,8 +50,8 @@ use crate::error::{ResultExt, ThorError, ThorResult};
 use crate::mmap::MappedBuf;
 use crate::view::{FrozenPool, FrozenSlice, Pod};
 
-/// Shared magic with the v1 artifact header, so either reader can
-/// name-check the other's files.
+/// Shared with the retired v1 container header, so v1 files are
+/// recognized and rejected by name.
 pub const SECTION_MAGIC: &[u8; 8] = b"THORENG\0";
 
 /// The sectioned container version this module reads and writes.

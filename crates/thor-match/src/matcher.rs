@@ -178,17 +178,7 @@ impl SimilarityMatcher {
             let prune = Arc::new(PruneIndex::build(&index));
             (index, prune)
         };
-        if let Some(m) = &metrics {
-            m.vocab_words.set(store.len() as u64);
-            m.cluster_representatives.set(
-                clusters
-                    .iter()
-                    .map(|c| c.representative_count() as u64)
-                    .sum(),
-            );
-            m.index_rows.set(index.row_count() as u64);
-        }
-        Self {
+        let matcher = Self {
             store,
             clusters,
             index,
@@ -197,7 +187,9 @@ impl SimilarityMatcher {
             seed_syntax,
             config,
             metrics,
-        }
+        };
+        matcher.record_fine_tune_gauges();
+        matcher
     }
 
     /// [`SimilarityMatcher::from_clusters`] with an already-built
@@ -216,24 +208,47 @@ impl SimilarityMatcher {
         config: MatcherConfig,
         metrics: Option<PipelineMetrics>,
     ) -> Self {
-        if let Some(m) = &metrics {
-            m.vocab_words.set(store.len() as u64);
-            m.cluster_representatives.set(
-                clusters
-                    .iter()
-                    .map(|c| c.representative_count() as u64)
-                    .sum(),
-            );
-            m.index_rows.set(index.row_count() as u64);
-        }
         let prune = prune.unwrap_or_else(|| Arc::new(PruneIndex::build(&index)));
-        Self {
+        let matcher = Self {
             store,
             clusters,
             index,
             prune,
             cache: PhraseCache::new(config.cache_capacity),
             seed_syntax,
+            config,
+            metrics,
+        };
+        matcher.record_fine_tune_gauges();
+        matcher
+    }
+
+    /// Set the fine-tune gauges (vocabulary size, representative
+    /// count, index rows) on the attached metrics handle, if any.
+    fn record_fine_tune_gauges(&self) {
+        if let Some(m) = &self.metrics {
+            m.vocab_words.set(self.store.len() as u64);
+            m.cluster_representatives.set(
+                self.clusters
+                    .iter()
+                    .map(|c| c.representative_count() as u64)
+                    .sum(),
+            );
+            m.index_rows.set(self.index.row_count() as u64);
+        }
+    }
+
+    /// A clone serving under `config` and recording into `metrics`,
+    /// sharing the store, index (zero-copy views stay views) and
+    /// pruning structures, with a fresh phrase cache.
+    fn derive(&self, config: MatcherConfig, metrics: Option<PipelineMetrics>) -> Self {
+        Self {
+            store: self.store.clone(),
+            clusters: self.clusters.clone(),
+            index: self.index.clone(),
+            prune: self.prune.clone(),
+            cache: PhraseCache::new(config.cache_capacity),
+            seed_syntax: self.seed_syntax.clone(),
             config,
             metrics,
         }
@@ -245,16 +260,25 @@ impl SimilarityMatcher {
     pub fn with_prune_mode(&self, prune: PruneMode) -> Self {
         let mut config = self.config.clone();
         config.prune = prune;
-        Self {
-            store: self.store.clone(),
-            clusters: self.clusters.clone(),
-            index: self.index.clone(),
-            prune: self.prune.clone(),
-            cache: PhraseCache::new(config.cache_capacity),
-            seed_syntax: self.seed_syntax.clone(),
-            config,
-            metrics: self.metrics.clone(),
-        }
+        self.derive(config, self.metrics.clone())
+    }
+
+    /// A clone of this matcher recording into `metrics`, without
+    /// re-deriving anything: the fine-tune statistics (vocabulary size,
+    /// expansion and representative counts, index rows) are set from
+    /// the existing clusters and index exactly as a metered fine-tune
+    /// records them. The phrase cache starts fresh, as after a
+    /// fine-tune.
+    pub fn with_metrics(&self, metrics: PipelineMetrics) -> Self {
+        let expansion: usize = self
+            .clusters
+            .iter()
+            .map(|c| c.representative_count() - c.seed_count())
+            .sum();
+        metrics.expansion_words.add(expansion as u64);
+        let matcher = self.derive(self.config.clone(), Some(metrics));
+        matcher.record_fine_tune_gauges();
+        matcher
     }
 
     /// Freeze the fine-tuned clusters into the structure-of-arrays

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
-# Refinement-kernel smoke test against the real CLI.
+# Extraction smoke test against the real CLI.
 #
-# The kernel scoring path (allocation-free jaccard/gestalt + score-bound
-# early abandon, the default) must be a byte-exact drop-in for the
-# documented reference implementations:
-#   1. `thor enrich` (kernel) and `thor enrich --refine reference`
-#      produce byte-identical enriched CSV and entities TSV at thread
-#      counts 1 and 4;
-#   2. the same equality holds when serving from a frozen engine
-#      artifact (`--engine` + `--refine` compose: the refine path is a
-#      serve-time knob, not part of the frozen model);
-#   3. a bad `--refine` value is rejected with a named error;
+# The refinement kernels (allocation-free jaccard/gestalt + score-bound
+# early abandon) are checked bit for bit against the reference
+# implementation by crates/thor-core/tests/refine_kernels.rs. This
+# script checks the CLI surface around them:
+#   1. `thor enrich` produces byte-identical enriched CSV and entities
+#      TSV at thread counts 1 and 4;
+#   2. serving the same corpus from a frozen engine artifact
+#      (`--engine`) produces the same bytes;
+#   3. `--refine` is not an option: both `thor enrich` and `thor serve`
+#      reject it as unknown (reference refinement is a test oracle);
 #   4. `--metrics` surfaces the refine.scored / refine.pruned counters,
-#      and the kernel path actually prunes on this workload.
+#      and the early abandon actually prunes on this workload.
 #
 # Usage: scripts/extract_smoke.sh  (run from anywhere; builds if needed)
 set -euo pipefail
@@ -38,46 +38,42 @@ TABLE="$DATA/enrichment_table.csv"
 VECS="$DATA/vectors.txt"
 echo "extract smoke: ${#DOCS[@]} documents"
 
-echo "-- kernel vs reference refinement: byte-identical output"
-"$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 --refine reference \
-    --out "$WORK/reference.csv" --entities "$WORK/reference.tsv" "${DOCS[@]}" 2>/dev/null
-for threads in 1 4; do
-    "$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 \
-        --refine kernel --threads "$threads" \
-        --out "$WORK/kernel.csv" --entities "$WORK/kernel.tsv" "${DOCS[@]}" 2>/dev/null
-    cmp "$WORK/reference.csv" "$WORK/kernel.csv" \
-        || fail "kernel CSV differs from reference refinement (threads $threads)"
-    cmp "$WORK/reference.tsv" "$WORK/kernel.tsv" \
-        || fail "kernel entities differ from reference refinement (threads $threads)"
-    rm -f "$WORK/kernel.csv" "$WORK/kernel.tsv"
-done
+echo "-- threads 1 and 4: byte-identical output"
+"$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 --threads 1 \
+    --out "$WORK/one.csv" --entities "$WORK/one.tsv" "${DOCS[@]}" 2>/dev/null
+"$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 --threads 4 \
+    --out "$WORK/four.csv" --entities "$WORK/four.tsv" "${DOCS[@]}" 2>/dev/null
+cmp "$WORK/one.csv" "$WORK/four.csv" || fail "CSV differs between threads 1 and 4"
+cmp "$WORK/one.tsv" "$WORK/four.tsv" || fail "entities differ between threads 1 and 4"
 echo "   identical output at threads 1 and 4"
 
-echo "-- --refine composes with --engine (serve-time knob)"
+echo "-- engine serving matches the direct run"
 ENGINE="$WORK/disease.thorengine"
 "$THOR" build --table "$TABLE" --vectors "$VECS" --tau 0.7 \
     --engine "$ENGINE" 2>/dev/null
-for refine in kernel reference; do
-    "$THOR" enrich --engine "$ENGINE" --refine "$refine" \
-        --out "$WORK/served.csv" --entities "$WORK/served.tsv" "${DOCS[@]}" 2>/dev/null
-    cmp "$WORK/reference.csv" "$WORK/served.csv" \
-        || fail "engine-served CSV differs under --refine $refine"
-    cmp "$WORK/reference.tsv" "$WORK/served.tsv" \
-        || fail "engine-served entities differ under --refine $refine"
-    rm -f "$WORK/served.csv" "$WORK/served.tsv"
-done
-echo "   engine serving identical under both refine paths"
+"$THOR" enrich --engine "$ENGINE" \
+    --out "$WORK/served.csv" --entities "$WORK/served.tsv" "${DOCS[@]}" 2>/dev/null
+cmp "$WORK/one.csv" "$WORK/served.csv" || fail "engine-served CSV differs"
+cmp "$WORK/one.tsv" "$WORK/served.tsv" || fail "engine-served entities differ"
+echo "   engine serving identical"
 
-echo "-- bad --refine value is rejected by name"
+echo "-- --refine is an unknown option"
 set +e
-"$THOR" enrich --table "$TABLE" --vectors "$VECS" --refine fast \
+"$THOR" enrich --table "$TABLE" --vectors "$VECS" --refine reference \
     --out "$WORK/x.csv" "${DOCS[@]}" 2>"$WORK/refine.log"
 status=$?
 set -e
-[[ $status -ne 0 ]] || fail "enrich accepted --refine fast"
-grep -q 'kernel.*reference' "$WORK/refine.log" \
-    || fail "refine error is not named: $(cat "$WORK/refine.log")"
-echo "   rejected with a named error"
+[[ $status -ne 0 ]] || fail "enrich accepted --refine"
+grep -q 'unknown option `--refine` for `thor enrich`' "$WORK/refine.log" \
+    || fail "enrich --refine error is not named: $(cat "$WORK/refine.log")"
+set +e
+"$THOR" serve --engine "$ENGINE" --refine reference 2>"$WORK/serve-refine.log"
+status=$?
+set -e
+[[ $status -ne 0 ]] || fail "serve accepted --refine"
+grep -q 'unknown option `--refine` for `thor serve`' "$WORK/serve-refine.log" \
+    || fail "serve --refine error is not named: $(cat "$WORK/serve-refine.log")"
+echo "   rejected by enrich and serve"
 
 echo "-- metrics surface the prune accounting"
 "$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 --metrics \

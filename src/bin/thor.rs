@@ -13,11 +13,11 @@
 //!             [--out enriched.csv] [--entities e.tsv]
 //!             <doc.txt | corpus-dir>...              run the pipeline
 //! thor enrich --engine e.thor [--engine-mmap on|off] [--threads N]
-//!             [--prune exact|approx|off [--prune-margin M]] ...
+//!             [--prune exact|approx [--prune-margin M]] ...
 //!             <doc.txt | corpus-dir>...              serve from a built engine
 //! thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT]
 //!            [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS]
-//!            [--refine kernel|reference] [--prune exact|approx|off] [--metrics[=json]]
+//!            [--prune exact|approx] [--metrics[=json]]
 //!                                                    HTTP front end (see thor-serve)
 //! thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv]
 //!            --out d1.eng [--note TEXT] [--engine-mmap on|off]
@@ -168,7 +168,6 @@ const ENRICH: CommandSpec = CommandSpec {
         "engine-mmap",
         "context-gate",
         "threads",
-        "refine",
         "prune",
         "prune-margin",
         "out",
@@ -195,7 +194,6 @@ const SERVE: CommandSpec = CommandSpec {
         "threads",
         "queue",
         "read-timeout-ms",
-        "refine",
         "prune",
         "prune-margin",
         "watch-engine",
@@ -280,16 +278,16 @@ fn usage() -> ExitCode {
          thor build --table R.csv --vectors v.txt --engine e.thor [--tau 0.7] \
          [--context-gate G] [--threads N]\n  \
          thor enrich --table R.csv [--tau 0.7] [--vectors v.txt] [--context-gate G] \
-         [--threads N] [--refine kernel|reference] [--metrics[=json]] [--cache-stats] \
+         [--threads N] [--metrics[=json]] [--cache-stats] \
          [--strict | --lenient] [--quarantine q.tsv] [--checkpoint DIR [--resume]] \
          [--stream [--chunk N]] [--out enriched.csv] [--entities e.tsv] \
          <doc.txt | corpus-dir>...\n  \
          thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] \
-         [--refine kernel|reference] [--prune exact|approx|off [--prune-margin M]] \
+         [--prune exact|approx [--prune-margin M]] \
          ... <doc.txt | corpus-dir>...\n  \
          thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT] \
          [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS] \
-         [--refine kernel|reference] [--prune exact|approx|off] [--metrics[=json]]\n  \
+         [--prune exact|approx] [--metrics[=json]]\n  \
          thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv] \
          --out d1.eng [--note TEXT] [--engine-mmap on|off]\n  \
          thor compact --engine dN.eng --out folded.eng\n  \
@@ -417,15 +415,16 @@ fn engine_map_mode(args: &Args) -> ThorResult<MapMode> {
     }
 }
 
-/// `--prune exact|approx|off` (+ `--prune-margin M` for approx):
-/// candidate-generation pruning. `exact` (the default) and `off`
-/// produce bit-identical output — exact pruning only skips scans whose
-/// cosine upper bound provably cannot win — so like `--threads` the
-/// knob stays adjustable when serving from a frozen `--engine`
-/// artifact. `approx` additionally pre-screens rows with the
-/// i8-quantized copy and may trade a measured sliver of recall for
-/// throughput; `--prune-margin` widens the quantization safety margin
-/// (higher = closer to exact, default 0.05).
+/// `--prune exact|approx` (+ `--prune-margin M` for approx):
+/// candidate-generation pruning. `exact` (the default) only skips scans
+/// whose cosine upper bound provably cannot win, so its output is
+/// bit-identical to the exhaustive scan (the exhaustive scan itself is
+/// a test oracle, `PruneMode::Off`, not a CLI setting). `approx`
+/// additionally pre-screens rows with the i8-quantized copy and may
+/// trade a measured sliver of recall for throughput; `--prune-margin`
+/// widens the quantization safety margin (higher = closer to exact,
+/// default 0.05). Like `--threads`, the knob stays adjustable when
+/// serving from a frozen `--engine` artifact.
 fn prune_mode(args: &Args) -> ThorResult<PruneMode> {
     let margin: Option<f64> = parse_option(args, "prune-margin")?;
     if let Some(m) = margin {
@@ -440,16 +439,15 @@ fn prune_mode(args: &Args) -> ThorResult<PruneMode> {
         Some("approx") => PruneMode::Approx {
             margin: margin.unwrap_or(0.05),
         },
-        Some("off") => PruneMode::Off,
         Some(other) => {
             return Err(ThorError::config(format!(
-                "--prune must be `exact`, `approx` or `off`, got `{other}`"
+                "--prune must be `exact` or `approx`, got `{other}`"
             )))
         }
     };
     if margin.is_some() && !matches!(mode, PruneMode::Approx { .. }) {
         return Err(ThorError::config(
-            "--prune-margin requires --prune approx (exact and off take no margin)",
+            "--prune-margin requires --prune approx (exact takes no margin)",
         ));
     }
     Ok(mode)
@@ -588,18 +586,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         }
     }
 
-    // `--refine` selects the refinement implementation — an execution
-    // knob like --threads (both paths are bit-identical), so it stays
-    // adjustable even when serving from a frozen --engine artifact.
-    let reference_refine = match args.options.get("refine").map(String::as_str) {
-        None | Some("kernel") => false,
-        Some("reference") => true,
-        Some(other) => {
-            return Err(ThorError::config(format!(
-                "--refine must be `kernel` or `reference`, got `{other}`"
-            )))
-        }
-    };
     let prune = prune_mode(args)?;
 
     if args.positional.is_empty() {
@@ -684,9 +670,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         if let Some(threads) = threads {
             engine = engine.with_threads(threads);
         }
-        if reference_refine {
-            engine = engine.with_reference_refine(true);
-        }
         if prune != PruneMode::Exact {
             engine = engine.with_prune(prune);
         }
@@ -753,7 +736,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         if let Some(threads) = threads {
             config.threads = threads;
         }
-        config.reference_refine = reference_refine;
         config.prune = prune;
         let mut thor = Thor::new(store, config);
         if attach_metrics {
@@ -864,15 +846,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if read_timeout_ms == 0 {
         return Err(ThorError::config("--read-timeout-ms must be at least 1"));
     }
-    let reference_refine = match args.options.get("refine").map(String::as_str) {
-        None | Some("kernel") => false,
-        Some("reference") => true,
-        Some(other) => {
-            return Err(ThorError::config(format!(
-                "--refine must be `kernel` or `reference`, got `{other}`"
-            )))
-        }
-    };
     let prune = prune_mode(args)?;
     let metrics_mode = metrics_mode(args)?;
     // Bare `--watch-engine` (no value) means "poll at the default
@@ -911,9 +884,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if let Some(threads) = threads {
         engine = engine.with_threads(threads);
     }
-    if reference_refine {
-        engine = engine.with_reference_refine(true);
-    }
     if prune != PruneMode::Exact {
         engine = engine.with_prune(prune);
     }
@@ -929,7 +899,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
         path: PathBuf::from(engine_path),
         mode: map_mode,
         threads,
-        reference_refine,
         prune,
         poll: watch_engine,
     };
@@ -1485,27 +1454,16 @@ mod tests {
     }
 
     #[test]
-    fn refine_option_validated() {
-        let a = parse_args(
-            &argv(&["--table", "t.csv", "--refine", "fast", "d.txt"]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("`kernel` or `reference`"), "{msg}");
-        // Like --threads, --refine stays adjustable alongside --engine:
-        // the error must come from the missing file, not a conflict.
-        let a = parse_args(
-            &argv(&[
-                "--engine",
-                "/nonexistent/e.thor",
-                "--refine",
-                "reference",
-                "d.txt",
-            ]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(!msg.contains("conflicts"), "{msg}");
+    fn refine_option_rejected_as_unknown() {
+        // Reference refinement is a test oracle, not a CLI setting.
+        for (cmd, spec) in [("enrich", &ENRICH), ("serve", &SERVE)] {
+            let a = parse_args(&argv(&["--refine", "reference", "d.txt"]), spec.flags);
+            let msg = check_options(cmd, &a, spec).unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!("unknown option `--refine` for `thor {cmd}`")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -1515,7 +1473,18 @@ mod tests {
             ENRICH.flags,
         );
         let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("`exact`, `approx` or `off`"), "{msg}");
+        assert!(msg.contains("`exact` or `approx`"), "{msg}");
+
+        // The exhaustive scan is a test oracle, not a CLI value.
+        let a = parse_args(
+            &argv(&["--table", "t.csv", "--prune", "off", "d.txt"]),
+            ENRICH.flags,
+        );
+        let msg = cmd_enrich(&a).unwrap_err().to_string();
+        assert!(
+            msg.contains("--prune must be `exact` or `approx`, got `off`"),
+            "{msg}"
+        );
 
         // --prune-margin only makes sense for the approximate mode.
         let a = parse_args(
@@ -1532,7 +1501,7 @@ mod tests {
                 "--table",
                 "t.csv",
                 "--prune",
-                "off",
+                "exact",
                 "--prune-margin",
                 "0.1",
                 "d.txt",
@@ -1576,7 +1545,7 @@ mod tests {
         let parsed = |items: &[&str]| prune_mode(&parse_args(&argv(items), ENRICH.flags));
         assert_eq!(parsed(&[]).unwrap(), PruneMode::Exact);
         assert_eq!(parsed(&["--prune", "exact"]).unwrap(), PruneMode::Exact);
-        assert_eq!(parsed(&["--prune", "off"]).unwrap(), PruneMode::Off);
+        assert!(parsed(&["--prune", "off"]).is_err());
         assert_eq!(
             parsed(&["--prune", "approx"]).unwrap(),
             PruneMode::Approx { margin: 0.05 }

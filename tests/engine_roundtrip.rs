@@ -154,6 +154,31 @@ fn loaded_engine_count_metrics_match() {
     assert_eq!(built_spans, [1, 1], "one prepare span, one inference span");
 }
 
+/// Attaching metrics to a loaded engine swaps the handle on the loaded
+/// matcher instead of re-deriving it: a mapped engine keeps serving
+/// from the index it borrowed in place (no owned copy, no k-means
+/// rebuild), with unchanged output.
+#[test]
+fn with_metrics_keeps_the_mapped_index_in_place() {
+    let docs = fixture_docs();
+    let built = Thor::new(fixture_store(), ThorConfig::with_tau(0.6)).prepare(&fixture_table());
+    let path = scratch("metrics-mapped");
+    built.save(&path).expect("save engine");
+    let loaded = PreparedEngine::load_with(&path, MapMode::Mapped).expect("load mapped");
+    let index = loaded.matcher().index().data().as_ptr();
+    let metered = loaded.with_metrics(PipelineMetrics::new());
+    assert_eq!(
+        metered.matcher().index().data().as_ptr(),
+        index,
+        "with_metrics copied the mapped index"
+    );
+    let (a, b) = (loaded.enrich(&docs), metered.enrich(&docs));
+    assert_eq!(a.entities, b.entities);
+    assert_eq!(thor_data::to_csv(&a.table), thor_data::to_csv(&b.table));
+    drop((loaded, metered));
+    std::fs::remove_file(&path).ok();
+}
+
 /// Saving the same engine twice produces identical files — the artifact
 /// encoder is fully deterministic (sorted store words, no timestamps).
 #[test]
