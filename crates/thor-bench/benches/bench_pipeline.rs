@@ -1,4 +1,4 @@
-//! Criterion benches for the THOR pipeline itself: fine-tuning, phrase
+//! Criterion benches for the THOR pipeline itself: preparation, phrase
 //! matching, and the end-to-end τ sweep (the measured counterpart of
 //! Fig. 6 — inference time must fall as τ rises).
 
@@ -13,14 +13,14 @@ fn small_dataset() -> thor_datagen::GeneratedDataset {
     generate(&DatasetSpec::disease_az(42, 0.05))
 }
 
-fn bench_fine_tune(c: &mut Criterion) {
+fn bench_prepare(c: &mut Criterion) {
     let dataset = small_dataset();
     let table = dataset.enrichment_table();
     let mut g = c.benchmark_group("pipeline");
     for tau in [0.5f64, 0.8, 1.0] {
-        g.bench_with_input(BenchmarkId::new("fine_tune", tau), &tau, |b, &tau| {
+        g.bench_with_input(BenchmarkId::new("prepare", tau), &tau, |b, &tau| {
             let thor = Thor::new(dataset.store.clone(), ThorConfig::with_tau(tau));
-            b.iter(|| thor.fine_tune(black_box(&table)))
+            b.iter(|| thor.prepare(black_box(&table)))
         });
     }
     g.finish();
@@ -30,7 +30,8 @@ fn bench_match_phrase(c: &mut Criterion) {
     let dataset = small_dataset();
     let table = dataset.enrichment_table();
     let thor = Thor::new(dataset.store.clone(), ThorConfig::with_tau(0.7));
-    let matcher = thor.fine_tune(&table);
+    let engine = thor.prepare(&table);
+    let matcher = engine.matcher();
     let mut g = c.benchmark_group("matcher");
     g.bench_function("match_phrase_4_words", |b| {
         b.iter(|| matcher.match_phrase(black_box("polgrave tanile rusplaia verusone")))
@@ -48,7 +49,7 @@ fn bench_thor_tau(c: &mut Criterion) {
     for tau in [0.5f64, 0.6, 0.7, 0.8, 0.9, 1.0] {
         g.bench_with_input(BenchmarkId::from_parameter(tau), &tau, |b, &tau| {
             let thor = Thor::new(dataset.store.clone(), ThorConfig::with_tau(tau));
-            b.iter(|| thor.extract(black_box(&table), black_box(&docs)))
+            b.iter(|| thor.prepare(black_box(&table)).extract(black_box(&docs)))
         });
     }
     g.finish();
@@ -78,7 +79,7 @@ fn bench_sgns(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_fine_tune,
+    bench_prepare,
     bench_match_phrase,
     bench_thor_tau,
     bench_sgns

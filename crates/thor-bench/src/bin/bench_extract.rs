@@ -58,7 +58,8 @@ fn main() {
     let kernel_config = ThorConfig::with_tau(TAU);
 
     let thor = Thor::new(dataset.store.clone(), kernel_config.clone());
-    let matcher = thor.fine_tune(&table);
+    let engine = thor.prepare(&table);
+    let matcher = engine.matcher();
 
     // The refinement workload: one candidate list per sentence, exactly
     // what `extract_entities` hands to `refine_candidates`. Generation
@@ -77,7 +78,7 @@ fn main() {
     let mut scratch = ScoreScratch::new();
     let (mut scored, mut pruned) = (0u64, 0u64);
     for list in &lists {
-        let kernel = refine_candidates(list, &matcher, &kernel_config, &mut scratch);
+        let kernel = refine_candidates(list, matcher, &kernel_config, &mut scratch);
         let reference = refine_candidates_reference(list, &kernel_config);
         scored += kernel.scored;
         pruned += kernel.pruned;
@@ -106,7 +107,7 @@ fn main() {
         for list in &lists {
             std::hint::black_box(refine_candidates(
                 list,
-                &matcher,
+                matcher,
                 &kernel_config,
                 &mut scratch,
             ));
@@ -122,7 +123,8 @@ fn main() {
         config.threads = threads;
         to_csv(
             &Thor::new(dataset.store.clone(), config)
-                .enrich(&table, &docs)
+                .prepare(&table)
+                .enrich(&docs)
                 .table,
         )
     };

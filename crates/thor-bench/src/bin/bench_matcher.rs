@@ -215,7 +215,8 @@ fn main() {
     let metrics = PipelineMetrics::new();
     let thor =
         Thor::new(dataset.store.clone(), ThorConfig::with_tau(TAU)).with_metrics(metrics.clone());
-    let matcher = thor.fine_tune(&table);
+    let engine = thor.prepare(&table);
+    let matcher = engine.matcher();
     let index_build = metrics.index_build.total();
 
     // Correctness before speed: the engine path must reproduce the

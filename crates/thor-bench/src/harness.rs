@@ -217,11 +217,12 @@ pub fn run_system(system: &System, dataset: &GeneratedDataset) -> RunOutcome {
         } else {
             thor
         };
-        let (entities, prep, infer) = thor.extract(&table, &docs);
+        let engine = thor.prepare(&table);
+        let (entities, infer) = engine.extract(&docs);
         if let Some(mode) = emit {
             emit_metrics(&name, &metrics, mode);
         }
-        (entities, Some(prep + infer))
+        (entities, Some(engine.prepare_time() + infer))
     };
     let (predictions, time) = match system {
         System::Thor(tau) => run_thor(Thor::new(dataset.store.clone(), ThorConfig::with_tau(*tau))),

@@ -206,7 +206,7 @@ impl PreparedEngine {
         let clusters = prep.clusters_at(&matcher_config, None);
         let old_index = inner.matcher.index();
         let touched: HashSet<usize> = touched.into_iter().collect();
-        let mut builder = VectorIndexBuilder::new(inner.store.dim());
+        let mut builder = VectorIndexBuilder::new(self.store().dim());
         for (ci, cluster) in clusters.iter().enumerate() {
             if ci < old_index.concept_count() && !touched.contains(&ci) {
                 builder.add_concept_from(old_index, ci);
@@ -222,7 +222,12 @@ impl PreparedEngine {
         }
         let index = builder.build();
         let matcher = prep
-            .matcher_with_index(matcher_config, inner.metrics.clone(), index, None)
+            .matcher_with_index(
+                matcher_config,
+                inner.matcher.metrics().cloned(),
+                index,
+                None,
+            )
             .map_err(|m| ThorError::validation(format!("delta index extension: {m}")))?;
 
         // 4. Extend the dictionary automaton with the merged patterns.
@@ -236,7 +241,6 @@ impl PreparedEngine {
         Ok(EngineInner {
             fingerprint: engine_fingerprint(&inner.config, table_digest, inner.store_digest),
             config: inner.config.clone(),
-            store: Arc::clone(&inner.store),
             subjects: table.subjects().map(str::to_string).collect(),
             table: Arc::new(table),
             prep: Arc::new(prep),
@@ -246,7 +250,6 @@ impl PreparedEngine {
             table_digest,
             chain_depth: inner.chain_depth + 1,
             prepare_time: std::time::Duration::ZERO,
-            metrics: inner.metrics.clone(),
         })
     }
 

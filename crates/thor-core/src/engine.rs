@@ -14,19 +14,25 @@
 //! * the dictionary baseline's Aho–Corasick [`DictionaryIndex`],
 //! * the subject list, the table, and the `Arc<VectorStore>`.
 //!
-//! Every serve entry point — [`PreparedEngine::extract`],
-//! [`PreparedEngine::enrich`], [`PreparedEngine::session`],
-//! [`PreparedEngine::enrich_resilient`] — borrows this immutable bundle;
-//! none re-runs `fine_tune` or deep-copies the store. [`Thor::extract`]
-//! and friends are now thin prepare-then-serve wrappers.
+//! Every run — [`PreparedEngine::extract`], [`PreparedEngine::enrich`],
+//! [`PreparedEngine::session`], [`PreparedEngine::enrich_resilient`] —
+//! borrows this immutable bundle; none re-runs `fine_tune` or
+//! deep-copies the store. The `with_*` derivations share it too: only
+//! τ-independent serving state (config, phrase cache, metrics handle)
+//! is new in a derived engine.
 //!
 //! The engine also persists: [`PreparedEngine::save`] writes a
-//! versioned binary artifact (magic + format version + FNV-1a checksum,
-//! via `thor_fault::atomic_io`) and [`PreparedEngine::load`] rebuilds an
-//! engine that produces **byte-identical** output — derived structures
-//! (seeds, clusters, indexes, automaton) are reconstructed through the
-//! exact constructor path the in-memory build uses, and a semantic
-//! fingerprint of store/table/config is verified on load.
+//! versioned, sectioned binary artifact (magic + format version +
+//! per-section FNV-1a checksums, via `thor_fault::atomic_io`) and
+//! [`PreparedEngine::load`] restores an engine that produces
+//! **byte-identical** output. The artifact stores the vector store, the
+//! expansion candidates, the frozen vector index with its pruning
+//! structures, and the dictionary automaton in their in-memory layout,
+//! so a load validates them and borrows them in place (zero-copy under
+//! [`MapMode::Mapped`]); only the small concept clusters are re-derived
+//! from the candidates, through the constructor path the in-memory
+//! build uses. A semantic fingerprint of store/table/config is verified
+//! on load.
 
 use std::convert::Infallible;
 use std::path::Path;
@@ -47,10 +53,10 @@ use thor_text::ScoreScratch;
 use crate::config::{ScoreWeights, SegmentationMode, ThorConfig};
 use crate::document::Document;
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_entities_with;
+use crate::extract::extract_entities;
 use crate::pipeline::{dedup_entities, EnrichmentResult, EnrichmentSession, Thor};
 use crate::pool::fan_out;
-use crate::segment::segment_metered;
+use crate::segment::segment;
 use crate::slotfill::slot_fill_metered;
 
 /// Magic bytes opening an engine artifact file (shared with the
@@ -108,9 +114,8 @@ pub const ENGINE_LAZY_SECTIONS: &[&str] = &[
 
 pub(crate) struct EngineInner {
     pub(crate) config: ThorConfig,
-    pub(crate) store: Arc<VectorStore>,
     pub(crate) table: Arc<Table>,
-    pub(crate) subjects: Vec<String>,
+    pub(crate) subjects: Arc<[String]>,
     pub(crate) prep: Arc<PreparedMatcher>,
     pub(crate) matcher: SimilarityMatcher,
     pub(crate) dictionary: Arc<DictionaryIndex>,
@@ -127,7 +132,6 @@ pub(crate) struct EngineInner {
     /// fresh build of the same state).
     pub(crate) chain_depth: usize,
     pub(crate) prepare_time: Duration,
-    pub(crate) metrics: Option<PipelineMetrics>,
 }
 
 impl std::fmt::Debug for EngineInner {
@@ -215,10 +219,11 @@ impl Thor {
     /// candidates, compile the dictionary automaton) and return the
     /// immutable bundle every serve call borrows.
     ///
-    /// Records one `pipeline.prepare` span into the attached metrics,
-    /// exactly like the one-shot entry points used to.
+    /// Records one `pipeline.prepare` span into the attached metrics;
+    /// the engine's matcher keeps the handle, so every run it serves
+    /// records there too.
     pub fn prepare(&self, table: &Table) -> PreparedEngine {
-        let run = self.run_metrics();
+        let run = self.metrics().cloned().unwrap_or_default();
         let (inner, prepare_time) = run.prepare.time(|| {
             let concepts = concept_instances(table);
             let matcher_config = self.config().matcher_config();
@@ -235,7 +240,6 @@ impl Thor {
             EngineInner {
                 fingerprint: engine_fingerprint(self.config(), table_digest, store_digest),
                 config: self.config().clone(),
-                store: Arc::clone(self.store_arc()),
                 table: Arc::new(table.clone()),
                 subjects: table.subjects().map(str::to_string).collect(),
                 prep: Arc::new(prep),
@@ -245,7 +249,6 @@ impl Thor {
                 table_digest,
                 chain_depth: 0,
                 prepare_time: Duration::ZERO,
-                metrics: self.metrics().cloned(),
             }
         });
         let mut inner = inner;
@@ -257,11 +260,11 @@ impl Thor {
 }
 
 impl PreparedEngine {
-    /// The metrics handle serve calls record into: the attached one, or
-    /// an ephemeral throwaway so stage timing always has somewhere to
-    /// go.
+    /// The metrics handle serve calls record into: the matcher's
+    /// attached one, or an ephemeral throwaway so stage timing always
+    /// has somewhere to go.
     pub(crate) fn run_metrics(&self) -> PipelineMetrics {
-        self.inner.metrics.clone().unwrap_or_default()
+        self.inner.matcher.metrics().cloned().unwrap_or_default()
     }
 
     /// The configuration the engine was built with.
@@ -297,7 +300,7 @@ impl PreparedEngine {
 
     /// The shared vector store.
     pub fn store(&self) -> &Arc<VectorStore> {
-        &self.inner.store
+        self.inner.matcher.store_arc()
     }
 
     /// Semantic fingerprint of (config, table, store) — what
@@ -344,8 +347,8 @@ impl PreparedEngine {
         config.tau = tau;
         if tau < self.inner.prep.base().tau {
             // Below the prepared base: the expansion must be re-scanned.
-            let thor = Thor::new(Arc::clone(&self.inner.store), config);
-            let thor = match &self.inner.metrics {
+            let thor = Thor::new(Arc::clone(self.store()), config);
+            let thor = match self.inner.matcher.metrics() {
                 Some(m) => thor.with_metrics(m.clone()),
                 None => thor,
             };
@@ -353,9 +356,10 @@ impl PreparedEngine {
         }
         let run = self.run_metrics();
         let (matcher, prepare_time) = run.prepare.time(|| {
-            self.inner
-                .prep
-                .matcher_at(config.matcher_config(), self.inner.metrics.clone())
+            self.inner.prep.matcher_at(
+                config.matcher_config(),
+                self.inner.matcher.metrics().cloned(),
+            )
         });
         self.derive(matcher, |e| {
             e.fingerprint = engine_fingerprint(&config, e.table_digest, e.store_digest);
@@ -401,13 +405,14 @@ impl PreparedEngine {
         let (matcher, _) = metrics
             .prepare
             .time(|| self.inner.matcher.with_metrics(metrics.clone()));
-        self.derive(matcher, |e| e.metrics = Some(metrics))
+        self.derive(matcher, |_| {})
     }
 
     /// A sibling engine sharing every frozen structure of this one,
     /// serving through `matcher`, with `edit` adjusting the remaining
     /// fields — the single construction path of the `with_*`
-    /// derivations.
+    /// derivations. Everything that scales with the vocabulary or the
+    /// table is shared, never copied.
     fn derive(
         &self,
         matcher: SimilarityMatcher,
@@ -416,9 +421,8 @@ impl PreparedEngine {
         let inner = &*self.inner;
         let mut next = EngineInner {
             config: inner.config.clone(),
-            store: Arc::clone(&inner.store),
             table: Arc::clone(&inner.table),
-            subjects: inner.subjects.clone(),
+            subjects: Arc::clone(&inner.subjects),
             prep: Arc::clone(&inner.prep),
             matcher,
             dictionary: Arc::clone(&inner.dictionary),
@@ -427,7 +431,6 @@ impl PreparedEngine {
             fingerprint: inner.fingerprint.clone(),
             chain_depth: inner.chain_depth,
             prepare_time: inner.prepare_time,
-            metrics: inner.metrics.clone(),
         };
         edit(&mut next);
         PreparedEngine {
@@ -484,16 +487,18 @@ impl PreparedEngine {
     ) -> Result<Vec<ExtractedEntity>, G::Error> {
         let inner = &*self.inner;
         let segments = guard.stage("segment", || {
-            segment_metered(
+            let _span = run.segment.start();
+            let segments = segment(
                 doc,
                 &inner.subjects,
                 &inner.matcher,
                 inner.config.segmentation,
-                run,
-            )
+            );
+            run.segments.add(segments.len() as u64);
+            segments
         })?;
         let entities = guard.stage("extract", || {
-            extract_entities_with(
+            extract_entities(
                 &segments,
                 &inner.matcher,
                 &inner.config,
@@ -535,16 +540,19 @@ impl PreparedEngine {
         EnrichmentSession::new(self.clone())
     }
 
-    /// Persist the engine to `path` as a versioned binary artifact
-    /// (atomic write; magic + format version + FNV-1a checksum header).
+    /// Persist the engine to `path` as a versioned, sectioned binary
+    /// artifact (atomic write; magic + format version header, one
+    /// FNV-1a checksum per section).
     ///
-    /// The payload stores the *inputs plus the expensive intermediate*:
-    /// configuration, vector store (exact `f32` bit patterns), table
-    /// CSV, and the untruncated τ-expansion candidate lists (exact
-    /// `f64` bit patterns). Derived structures — seeds, clusters,
-    /// vector index, automaton, phrase cache — are rebuilt at load
-    /// through the same constructors, which is what makes the loaded
-    /// engine byte-identical.
+    /// The payload stores the configuration, the table CSV, the vector
+    /// store (exact `f32` bit patterns), the untruncated τ-expansion
+    /// candidate lists (exact `f64` bit patterns), the frozen vector
+    /// index with its pruning structures and quantized rows, the
+    /// dictionary automaton, and the seed-syntax instance list. Hot
+    /// arrays keep their in-memory layout, so a load validates them and
+    /// borrows them in place instead of rebuilding them; the concept
+    /// clusters are re-derived from the candidates and checked against
+    /// the stored index layout. The phrase cache always starts empty.
     pub fn save(&self, path: &Path) -> ThorResult<()> {
         let mut sections = SectionWriter::new();
         for (name, version, bytes) in self.engine_sections() {
@@ -570,8 +578,9 @@ impl PreparedEngine {
         w.put_u64(base.max_subphrase_words as u64);
         w.put_u64(base.max_expansion as u64);
         w.put_u64(base.cache_capacity as u64);
-        w.put_u64(inner.store.dim() as u64);
-        w.put_u64(inner.store.len() as u64);
+        let store = self.store();
+        w.put_u64(store.dim() as u64);
+        w.put_u64(store.len() as u64);
         w.put_u64(inner.prep.concept_names().len() as u64);
         w.put_u64(inner.store_digest);
         w.put_u64(inner.table_digest);
@@ -585,7 +594,7 @@ impl PreparedEngine {
         let mut word_offs: Vec<u64> = vec![0];
         let mut word_bytes: Vec<u8> = Vec::new();
         let mut row_bytes: Vec<u8> = Vec::new();
-        inner.store.for_each_sorted(|word, row| {
+        store.for_each_sorted(|word, row| {
             word_bytes.extend_from_slice(word.as_bytes());
             word_offs.push(word_bytes.len() as u64);
             for &x in row {
@@ -892,7 +901,7 @@ impl PreparedEngine {
         // the (deterministic) structures from the index instead, so old
         // artifacts keep loading with pruning fully enabled.
         let prune = match file.entry(SEC_PRUNE_META) {
-            Some(_) => Some(Arc::new(
+            Some(_) => Some(
                 thor_index::PruneIndex::from_parts(
                     &index,
                     file.bytes(SEC_PRUNE_META)?,
@@ -905,7 +914,7 @@ impl PreparedEngine {
                     file.frozen_slice::<f32>(SEC_QUANT_SCALES)?,
                 )
                 .map_err(|m| invalid(format!("prune sections: {m}")))?,
-            )),
+            ),
             None => None,
         };
         let matcher = prep
@@ -991,7 +1000,6 @@ impl PreparedEngine {
                 config,
                 subjects: table.subjects().map(str::to_string).collect(),
                 table: Arc::new(table),
-                store,
                 prep: Arc::new(prep),
                 matcher,
                 dictionary: Arc::new(automaton),
@@ -1000,7 +1008,6 @@ impl PreparedEngine {
                 fingerprint,
                 chain_depth: file.depth(),
                 prepare_time: t0.elapsed(),
-                metrics: None,
             }),
         })
     }
@@ -1177,7 +1184,7 @@ mod tests {
     #[test]
     fn prepared_engine_matches_one_shot_enrich() {
         let (thor, table, docs) = setup();
-        let one_shot = thor.enrich(&table, &docs);
+        let one_shot = thor.prepare(&table).enrich(&docs);
         let engine = thor.prepare(&table);
         let served = engine.enrich(&docs);
         assert_eq!(served.entities, one_shot.entities);
@@ -1197,7 +1204,7 @@ mod tests {
         for tau in [0.6, 0.7, 0.85, 1.0] {
             let derived = engine.with_tau(tau);
             let fresh = Thor::new(Arc::clone(engine.store()), ThorConfig::with_tau(tau));
-            let expected = fresh.enrich(&table, &docs);
+            let expected = fresh.prepare(&table).enrich(&docs);
             let got = derived.enrich(&docs);
             assert_eq!(got.entities, expected.entities, "tau {tau}");
             assert_eq!(
@@ -1214,7 +1221,7 @@ mod tests {
         let high = Thor::new(Arc::clone(thor.store_arc()), ThorConfig::with_tau(0.9));
         let engine = high.prepare(&table);
         let lowered = engine.with_tau(0.6);
-        let expected = thor.enrich(&table, &docs);
+        let expected = thor.prepare(&table).enrich(&docs);
         assert_eq!(lowered.enrich(&docs).entities, expected.entities);
     }
 
@@ -1251,7 +1258,7 @@ mod tests {
     #[test]
     fn engine_session_streams_like_batch() {
         let (thor, table, docs) = setup();
-        let batch = thor.enrich(&table, &docs);
+        let batch = thor.prepare(&table).enrich(&docs);
         let engine = thor.prepare(&table);
         let mut session = engine.session();
         for d in &docs {

@@ -263,45 +263,15 @@ fn sentence_phrases(
 /// Run entity extraction over segmented sentences (lines 3–15). Returns
 /// one best entity per (sentence, noun phrase) — `e_best` — tagged with
 /// the sentence's subject instance.
+///
+/// With `metrics`, noun-phrase chunking is counted and timed per
+/// sentence, refinement runs under a `stage.refine` span, and each
+/// accepted entity increments the `entities` counter. (The matcher
+/// counts its own subphrases and candidates when it carries a metrics
+/// handle.) `scratch` is the refinement scratch; long-lived paths
+/// (worker loops, enrichment sessions) thread one per worker so
+/// refinement allocates nothing in steady state.
 pub fn extract_entities(
-    segments: &[SegmentedSentence],
-    matcher: &SimilarityMatcher,
-    config: &ThorConfig,
-    doc_id: &str,
-) -> Vec<ExtractedEntity> {
-    let mut scratch = ScoreScratch::new();
-    extract_entities_with(segments, matcher, config, doc_id, None, &mut scratch)
-}
-
-/// [`extract_entities`] with observability: noun-phrase chunking is
-/// counted and timed per sentence, refinement runs under a
-/// `stage.refine` span, and each accepted entity increments the
-/// `entities` counter. (The matcher counts its own subphrases and
-/// candidates when it was fine-tuned with
-/// [`SimilarityMatcher::fine_tune_metered`].)
-pub fn extract_entities_metered(
-    segments: &[SegmentedSentence],
-    matcher: &SimilarityMatcher,
-    config: &ThorConfig,
-    doc_id: &str,
-    metrics: &PipelineMetrics,
-) -> Vec<ExtractedEntity> {
-    let mut scratch = ScoreScratch::new();
-    extract_entities_with(
-        segments,
-        matcher,
-        config,
-        doc_id,
-        Some(metrics),
-        &mut scratch,
-    )
-}
-
-/// [`extract_entities_metered`] reusing a caller-owned [`ScoreScratch`]
-/// across documents — the long-lived paths (worker loops, enrichment
-/// sessions) thread one scratch per worker so refinement allocates
-/// nothing in steady state.
-pub fn extract_entities_with(
     segments: &[SegmentedSentence],
     matcher: &SimilarityMatcher,
     config: &ThorConfig,
@@ -446,7 +416,14 @@ mod tests {
             "It is a slow-growing non-cancerous brain tumor.",
             0,
         )];
-        let entities = extract_entities(&segments, &m, &ThorConfig::with_tau(0.55), "d1");
+        let entities = extract_entities(
+            &segments,
+            &m,
+            &ThorConfig::with_tau(0.55),
+            "d1",
+            None,
+            &mut ScoreScratch::new(),
+        );
         assert!(!entities.is_empty());
         for e in &entities {
             assert_eq!(e.subject, "Acoustic Neuroma");
@@ -458,7 +435,14 @@ mod tests {
     fn one_best_entity_per_phrase() {
         let m = matcher(0.5);
         let segments = vec![seg("X", "The brain and the ear.", 0)];
-        let entities = extract_entities(&segments, &m, &ThorConfig::with_tau(0.5), "d");
+        let entities = extract_entities(
+            &segments,
+            &m,
+            &ThorConfig::with_tau(0.5),
+            "d",
+            None,
+            &mut ScoreScratch::new(),
+        );
         // Two noun phrases → at most two entities.
         assert!(entities.len() <= 2);
     }
@@ -467,7 +451,14 @@ mod tests {
     fn unmatched_phrases_produce_nothing() {
         let m = matcher(0.9);
         let segments = vec![seg("X", "People walk in green parks.", 0)];
-        let entities = extract_entities(&segments, &m, &ThorConfig::with_tau(0.9), "d");
+        let entities = extract_entities(
+            &segments,
+            &m,
+            &ThorConfig::with_tau(0.9),
+            "d",
+            None,
+            &mut ScoreScratch::new(),
+        );
         assert!(entities.is_empty());
     }
 
@@ -479,7 +470,14 @@ mod tests {
             "The brain tumor causes deafness and unsteadiness.",
             3,
         )];
-        let entities = extract_entities(&segments, &m, &ThorConfig::with_tau(0.5), "d");
+        let entities = extract_entities(
+            &segments,
+            &m,
+            &ThorConfig::with_tau(0.5),
+            "d",
+            None,
+            &mut ScoreScratch::new(),
+        );
         assert!(!entities.is_empty());
         for e in &entities {
             assert!((0.0..=1.0).contains(&e.score), "score {e:?}");
@@ -495,8 +493,22 @@ mod tests {
         let np_config = ThorConfig::with_tau(0.5);
         let mut ngram_config = ThorConfig::with_tau(0.5);
         ngram_config.np_chunking = false;
-        let np = extract_entities(&segments, &m, &np_config, "d");
-        let ng = extract_entities(&segments, &m, &ngram_config, "d");
+        let np = extract_entities(
+            &segments,
+            &m,
+            &np_config,
+            "d",
+            None,
+            &mut ScoreScratch::new(),
+        );
+        let ng = extract_entities(
+            &segments,
+            &m,
+            &ngram_config,
+            "d",
+            None,
+            &mut ScoreScratch::new(),
+        );
         assert!(
             ng.len() >= np.len(),
             "n-grams generate at least as many candidates"
@@ -512,8 +524,10 @@ mod tests {
         let open = ThorConfig::with_tau(0.5);
         let mut gated = ThorConfig::with_tau(0.5);
         gated.context_gate = Some(0.5);
-        let without = extract_entities(&segments, &m, &open, "d").len();
-        let with = extract_entities(&segments, &m, &gated, "d").len();
+        let without =
+            extract_entities(&segments, &m, &open, "d", None, &mut ScoreScratch::new()).len();
+        let with =
+            extract_entities(&segments, &m, &gated, "d", None, &mut ScoreScratch::new()).len();
         assert!(with <= without, "gate must never add predictions");
     }
 
@@ -524,7 +538,7 @@ mod tests {
         let segments = vec![seg("X", "The nerve and the ear relate to the brain.", 0)];
         let mut gated = ThorConfig::with_tau(0.5);
         gated.context_gate = Some(0.2);
-        let entities = extract_entities(&segments, &m, &gated, "d");
+        let entities = extract_entities(&segments, &m, &gated, "d", None, &mut ScoreScratch::new());
         assert!(
             !entities.is_empty(),
             "well-supported entities must survive the gate"
@@ -540,7 +554,14 @@ mod tests {
         );
         let subjects = vec!["Acoustic Neuroma".to_string()];
         let segs = segment(&doc, &subjects, &m, Default::default());
-        let entities = extract_entities(&segs, &m, &ThorConfig::with_tau(0.55), &doc.id);
+        let entities = extract_entities(
+            &segs,
+            &m,
+            &ThorConfig::with_tau(0.55),
+            &doc.id,
+            None,
+            &mut ScoreScratch::new(),
+        );
         assert!(entities.iter().all(|e| e.subject == "Acoustic Neuroma"));
         assert!(!entities.is_empty());
     }

@@ -23,7 +23,7 @@
 //! 3. **Slot filling** ([`slotfill`]) — append every extracted entity to
 //!    the multi-valued cell (row = subject, column = concept).
 //!
-//! The top-level API is [`Thor`]:
+//! [`Thor`] builds an engine for a table; the engine runs the pipeline:
 //!
 //! ```
 //! use thor_core::{Document, Thor, ThorConfig};
@@ -44,8 +44,8 @@
 //! // ...and an external document.
 //! let doc = Document::new("d1", "Tuberculosis damages the heart.");
 //!
-//! let thor = Thor::new(store, ThorConfig::with_tau(0.8));
-//! let result = thor.enrich(&table, &[doc]);
+//! let engine = Thor::new(store, ThorConfig::with_tau(0.8)).prepare(&table);
+//! let result = engine.enrich(&[doc]);
 //! assert!(result.table.get_row("Tuberculosis").is_some());
 //! ```
 //!
@@ -53,7 +53,8 @@
 //!
 //! Preparation depends only on the table, the vectors and the
 //! configuration — so it is performed once, by [`Thor::prepare`], into
-//! an immutable, `Arc`-shared [`PreparedEngine`]. Every serve call
+//! an immutable, `Arc`-shared [`PreparedEngine`]. `Thor` has no run
+//! methods of its own: every run
 //! ([`PreparedEngine::extract`], [`PreparedEngine::enrich`],
 //! [`PreparedEngine::session`], [`PreparedEngine::enrich_resilient`])
 //! reuses the engine; [`PreparedEngine::with_tau`] derives sibling

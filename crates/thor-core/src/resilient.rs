@@ -1,8 +1,8 @@
 //! The fault-tolerant run layer: per-document isolation, quarantine,
 //! and checkpointed, resumable enrichment.
 //!
-//! [`Thor::enrich_resilient`] is the production entry point for messy
-//! corpora: every document passes admission control
+//! [`PreparedEngine::enrich_resilient`] is the production entry point
+//! for messy corpora: every document passes admission control
 //! ([`thor_fault::validate_text`]) and runs its segment/extract stages
 //! under `catch_unwind`, so a malformed or even panic-inducing document
 //! costs *one document*, not the run. Failures land in a
@@ -19,10 +19,11 @@
 //! produces **byte-identical** output to an uninterrupted run, for any
 //! thread count and cache configuration.
 //!
-//! The run itself is hosted on a [`PreparedEngine`]
-//! ([`PreparedEngine::enrich_resilient`]): Preparation happens once in
-//! [`Thor::prepare`], and the same engine can serve resilient and plain
-//! calls alike.
+//! The run itself is hosted on a [`PreparedEngine`]: Preparation
+//! happens once in [`crate::Thor::prepare`], and the same engine can
+//! serve resilient and plain calls alike. A checkpoint is keyed on the
+//! engine fingerprint plus the document ids, so a resume under a
+//! different configuration, table or vector store is refused.
 //!
 //! **One document path.** This layer adds no pipeline of its own: each
 //! document runs through the same per-document core as
@@ -40,7 +41,6 @@ use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use thor_data::Table;
 use thor_fault::{
     fail_point, fingerprint, validate_text, CancelToken, Checkpoint, DocumentPolicy, EntityRecord,
     QuarantineEntry, QuarantineReport, ThorError, ThorResult,
@@ -48,11 +48,10 @@ use thor_fault::{
 use thor_obs::PipelineMetrics;
 use thor_text::ScoreScratch;
 
-use crate::config::ThorConfig;
 use crate::document::Document;
 use crate::engine::{PreparedEngine, StageGuard};
 use crate::entity::ExtractedEntity;
-use crate::pipeline::{dedup_entities, EnrichmentResult, Thor};
+use crate::pipeline::{dedup_entities, EnrichmentResult};
 use crate::pool::fan_out;
 use crate::slotfill::slot_fill_metered;
 
@@ -68,7 +67,7 @@ pub enum RunMode {
     Lenient,
 }
 
-/// Options for [`Thor::enrich_resilient`].
+/// Options for [`PreparedEngine::enrich_resilient`].
 #[derive(Debug, Clone)]
 pub struct ResilientOptions {
     /// Strict (fail fast) or lenient (quarantine and continue).
@@ -296,66 +295,26 @@ fn process_doc(
     engine.extract_document(doc, run, scratch, &guard)
 }
 
-/// Fingerprint tying a checkpoint to the inputs and configuration that
-/// produced it: any difference that could change extraction output
-/// makes resume refuse the stale state. (Distinct from the engine
-/// artifact's fingerprint, which covers the store but not the corpus.)
-pub(crate) fn run_fingerprint<'a>(
-    config: &ThorConfig,
-    table: &Table,
+/// Fingerprint tying a checkpoint to the run that produced it: the
+/// engine fingerprint (every output-affecting config field plus the
+/// table and vector-store digests) and the ordered document ids. Any
+/// difference that could change extraction output makes resume refuse
+/// the stale state.
+fn run_fingerprint<'a>(
+    engine_fingerprint: &str,
     doc_ids: impl IntoIterator<Item = &'a str>,
 ) -> String {
-    let c = config;
-    let mut parts: Vec<String> = vec![
-        format!("tau={:016x}", c.tau.to_bits()),
-        format!("subphrase={}", c.max_subphrase_words),
-        format!("expansion={}", c.max_expansion),
-        format!("gate={:?}", c.context_gate.map(f64::to_bits)),
-        format!("seg={:?}", c.segmentation),
-        format!("np={}", c.np_chunking),
-        format!(
-            "weights={:016x},{:016x},{:016x}",
-            c.weights.semantic.to_bits(),
-            c.weights.word.to_bits(),
-            c.weights.char.to_bits()
-        ),
-    ];
-    for concept in table.schema().concepts() {
-        parts.push(format!("concept={}", concept.name()));
-        for value in table.column_values(concept.name()) {
-            parts.push(value);
-        }
-    }
-    for id in doc_ids {
-        parts.push(format!("doc={id}"));
-    }
-    fingerprint(parts)
-}
-
-impl Thor {
-    /// Run the full pipeline with per-document fault isolation,
-    /// quarantine, and (optionally) checkpoint/resume. See the module
-    /// docs for semantics; [`Thor::enrich`] remains the fast path for
-    /// trusted input.
-    ///
-    /// This is a prepare-then-serve wrapper over
-    /// [`PreparedEngine::enrich_resilient`] — hold the engine yourself
-    /// to amortize Preparation across runs.
-    pub fn enrich_resilient(
-        &self,
-        table: &Table,
-        docs: &[Document],
-        opts: &ResilientOptions,
-    ) -> ThorResult<ResilientOutcome> {
-        self.prepare(table).enrich_resilient(docs, opts)
-    }
+    let docs = doc_ids.into_iter().map(|id| format!("doc={id}"));
+    fingerprint(std::iter::once(format!("engine={engine_fingerprint}")).chain(docs))
 }
 
 impl PreparedEngine {
     /// Resilient enrichment served from this engine: admission control,
     /// per-document panic isolation, quarantine, checkpoint/resume —
     /// without re-running Preparation. Workers come from the shared
-    /// [`crate::WorkerPool`].
+    /// [`crate::WorkerPool`]. See the module docs for semantics;
+    /// [`PreparedEngine::enrich`] remains the fast path for trusted
+    /// input.
     pub fn enrich_resilient(
         &self,
         docs: &[Document],
@@ -409,11 +368,7 @@ impl PreparedEngine {
         }
 
         let run = self.run_metrics();
-        let run_fp = run_fingerprint(
-            self.config(),
-            self.table(),
-            doc_ids.iter().map(String::as_str),
-        );
+        let run_fp = run_fingerprint(self.fingerprint(), doc_ids.iter().map(String::as_str));
         let mut state = self.open_run_state(opts, run_fp, &run)?;
 
         let chunk_size = chunk_size.max(1);
@@ -604,6 +559,7 @@ impl PreparedEngine {
 mod tests {
     use super::*;
     use crate::config::ThorConfig;
+    use crate::pipeline::Thor;
     use thor_data::{Schema, Table};
     use thor_embed::SemanticSpaceBuilder;
 
@@ -628,9 +584,10 @@ mod tests {
     #[test]
     fn clean_resilient_run_matches_enrich() {
         let (thor, table, docs) = setup();
-        let plain = thor.enrich(&table, &docs);
+        let plain = thor.prepare(&table).enrich(&docs);
         let resilient = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap();
         assert!(resilient.quarantine.is_empty());
         assert_eq!(resilient.resumed_docs, 0);
@@ -650,12 +607,12 @@ mod tests {
             mode: RunMode::Lenient,
             ..Default::default()
         };
-        let outcome = thor.enrich_resilient(&table, &docs, &opts).unwrap();
+        let outcome = thor.prepare(&table).enrich_resilient(&docs, &opts).unwrap();
         assert_eq!(outcome.quarantine.len(), 1);
         assert_eq!(outcome.quarantine.entries()[0].doc_id, "empty");
         assert_eq!(outcome.quarantine.entries()[0].stage, "validate");
         // The clean docs still enriched the table.
-        let clean = thor.enrich(&table, &docs[..3]);
+        let clean = thor.prepare(&table).enrich(&docs[..3]);
         assert_eq!(outcome.result.entities, clean.entities);
     }
 
@@ -664,7 +621,8 @@ mod tests {
         let (thor, table, mut docs) = setup();
         docs.insert(0, Document::new("empty", ""));
         let err = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
     }
@@ -674,7 +632,8 @@ mod tests {
         let (thor, table, mut docs) = setup();
         docs.push(docs[0].clone());
         let err = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap_err();
         assert!(err.to_string().contains("duplicate document id"), "{err}");
     }
@@ -690,7 +649,7 @@ mod tests {
             mode: RunMode::Lenient,
             ..Default::default()
         };
-        let outcome = thor.enrich_resilient(&table, &docs, &opts).unwrap();
+        let outcome = thor.prepare(&table).enrich_resilient(&docs, &opts).unwrap();
         assert_eq!(outcome.quarantine.len(), 2);
         assert_eq!(metrics.snapshot().count("quarantine.docs"), 2);
         assert_eq!(metrics.snapshot().count("docs"), 3);
@@ -831,7 +790,10 @@ mod tests {
                 cancel: thor_fault::CancelToken::with_deadline(std::time::Duration::ZERO),
                 ..Default::default()
             };
-            let err = thor.enrich_resilient(&table, &docs, &opts).unwrap_err();
+            let err = thor
+                .prepare(&table)
+                .enrich_resilient(&docs, &opts)
+                .unwrap_err();
             assert_eq!(err.kind(), thor_fault::ErrorKind::Deadline, "{mode:?}");
             assert!(err.to_string().contains("deadline exceeded"), "{err}");
         }
@@ -854,13 +816,14 @@ mod tests {
     fn unexpired_deadline_changes_nothing() {
         let (thor, table, docs) = setup();
         let plain = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap();
         let opts = ResilientOptions {
             cancel: thor_fault::CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
             ..Default::default()
         };
-        let budgeted = thor.enrich_resilient(&table, &docs, &opts).unwrap();
+        let budgeted = thor.prepare(&table).enrich_resilient(&docs, &opts).unwrap();
         assert_eq!(budgeted.result.entities, plain.result.entities);
         assert_eq!(
             thor_data::to_csv(&budgeted.result.table),

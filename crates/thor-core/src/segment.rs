@@ -9,7 +9,6 @@
 //! back to semantic matching against the subject instances.
 
 use thor_match::SimilarityMatcher;
-use thor_obs::PipelineMetrics;
 use thor_text::{normalize_phrase, split_sentences, Sentence};
 
 use crate::config::SegmentationMode;
@@ -50,30 +49,6 @@ pub fn segment(
     matcher: &SimilarityMatcher,
     mode: SegmentationMode,
 ) -> Vec<SegmentedSentence> {
-    segment_impl(doc, subjects, matcher, mode, None)
-}
-
-/// [`segment`] with observability: the whole call is covered by a
-/// `stage.segment` span and each attributed sentence increments the
-/// `segments` counter.
-pub fn segment_metered(
-    doc: &Document,
-    subjects: &[String],
-    matcher: &SimilarityMatcher,
-    mode: SegmentationMode,
-    metrics: &PipelineMetrics,
-) -> Vec<SegmentedSentence> {
-    let _span = metrics.segment.start();
-    segment_impl(doc, subjects, matcher, mode, Some(metrics))
-}
-
-fn segment_impl(
-    doc: &Document,
-    subjects: &[String],
-    matcher: &SimilarityMatcher,
-    mode: SegmentationMode,
-    metrics: Option<&PipelineMetrics>,
-) -> Vec<SegmentedSentence> {
     let keyed: Vec<(String, String)> = subjects
         .iter()
         .map(|s| (s.clone(), normalize_phrase(s)))
@@ -104,9 +79,6 @@ fn segment_impl(
         };
 
         if let Some(subject) = subject {
-            if let Some(m) = metrics {
-                m.segments.inc();
-            }
             out.push(SegmentedSentence {
                 subject,
                 sentence,

@@ -14,11 +14,13 @@ use std::path::{Path, PathBuf};
 
 use thor_core::{Document, PipelineMetrics, ResilientOptions, RunMode, Thor, ThorConfig};
 use thor_data::{to_csv, Schema, Table};
-use thor_embed::SemanticSpaceBuilder;
+use thor_embed::{SemanticSpaceBuilder, VectorStore};
 use thor_fault::{scoped_failpoints, DocumentPolicy, ErrorKind};
 
-fn setup(cache_capacity: usize, threads: usize) -> (Thor, Table, Vec<Document>) {
-    let store = SemanticSpaceBuilder::new(32, 21)
+/// The fixture's vector space; a different `seed` gives the same
+/// vocabulary with different vectors.
+fn store(seed: u64) -> VectorStore {
+    SemanticSpaceBuilder::new(32, seed)
         .spread(0.4)
         .topic("disease")
         .topic("anatomy")
@@ -43,7 +45,10 @@ fn setup(cache_capacity: usize, threads: usize) -> (Thor, Table, Vec<Document>) 
         )
         .generic_words(["slow-growing", "grows", "damage", "damages", "severe"])
         .build()
-        .into_store();
+        .into_store()
+}
+
+fn setup(cache_capacity: usize, threads: usize) -> (Thor, Table, Vec<Document>) {
     let mut table = Table::new(Schema::new(
         ["Disease", "Anatomy", "Complication"],
         "Disease",
@@ -78,7 +83,7 @@ fn setup(cache_capacity: usize, threads: usize) -> (Thor, Table, Vec<Document>) 
     let mut config = ThorConfig::with_tau(0.6);
     config.cache_capacity = cache_capacity;
     config.threads = threads;
-    (Thor::new(store, config), table, docs)
+    (Thor::new(store(21), config), table, docs)
 }
 
 fn opts(mode: RunMode, dir: Option<&Path>, resume: bool) -> ResilientOptions {
@@ -117,7 +122,8 @@ fn every_per_doc_site_quarantines_exactly_one_doc() {
         let _guard = scoped_failpoints(&format!("{site}:err@2"));
         let (thor, table, docs) = setup(4096, 1);
         let outcome = thor
-            .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(RunMode::Lenient, None, false))
             .unwrap();
         assert_eq!(outcome.quarantine.len(), 1, "site {site}");
         let entry = &outcome.quarantine.entries()[0];
@@ -136,7 +142,8 @@ fn quarantine_count_matches_multiple_injected_faults() {
     let _guard = scoped_failpoints("validate:err@1,extract:err@3");
     let (thor, table, docs) = setup(4096, 1);
     let outcome = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, None, false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Lenient, None, false))
         .unwrap();
     assert_eq!(outcome.quarantine.len(), 2);
     assert_eq!(outcome.quarantine.stage_count("validate"), 1);
@@ -154,7 +161,7 @@ fn quarantine_count_matches_multiple_injected_faults() {
         .filter(|d| !ids.contains(&d.id.as_str()))
         .cloned()
         .collect();
-    let clean = thor.enrich(&table, &clean_docs);
+    let clean = thor.prepare(&table).enrich(&clean_docs);
     assert_eq!(outcome.result.entities, clean.entities);
 }
 
@@ -164,13 +171,14 @@ fn injected_panics_cost_one_document_not_the_run() {
         let _guard = scoped_failpoints(&format!("{site}:panic@1"));
         let (thor, table, docs) = setup(4096, 1);
         let outcome = thor
-            .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(RunMode::Lenient, None, false))
             .unwrap();
         assert_eq!(outcome.quarantine.len(), 1, "site {site}");
         let entry = &outcome.quarantine.entries()[0];
         assert_eq!(entry.kind, ErrorKind::Panic);
         assert!(entry.error.contains("injected panic"), "{}", entry.error);
-        let clean = thor.enrich(&table, &docs[1..]);
+        let clean = thor.prepare(&table).enrich(&docs[1..]);
         assert_eq!(outcome.result.entities, clean.entities);
     }
 }
@@ -181,7 +189,8 @@ fn strict_mode_aborts_on_injected_fault() {
         let _guard = scoped_failpoints(spec);
         let (thor, table, docs) = setup(4096, 1);
         let err = thor
-            .enrich_resilient(&table, &docs, &opts(RunMode::Strict, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(RunMode::Strict, None, false))
             .unwrap_err();
         assert!(
             err.kind() == ErrorKind::Injected || err.kind() == ErrorKind::Panic,
@@ -196,7 +205,8 @@ fn run_level_slot_fill_fault_fails_both_modes() {
         let _guard = scoped_failpoints("slot_fill:err@1");
         let (thor, table, docs) = setup(4096, 1);
         let err = thor
-            .enrich_resilient(&table, &docs, &opts(mode, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(mode, None, false))
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Injected, "{mode:?}");
     }
@@ -208,7 +218,8 @@ fn checkpoint_save_fault_is_skipped_in_lenient_mode() {
     let _guard = scoped_failpoints("checkpoint_save:err@1");
     let (thor, table, docs) = setup(4096, 1);
     let outcome = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, Some(&dir), false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Lenient, Some(&dir), false))
         .unwrap();
     assert_eq!(outcome.checkpoints_skipped, 1);
     assert!(outcome.quarantine.is_empty());
@@ -224,7 +235,8 @@ fn checkpoint_save_fault_is_fatal_in_strict_mode() {
     let _guard = scoped_failpoints("checkpoint_save:err@1");
     let (thor, table, docs) = setup(4096, 1);
     let err = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Injected);
     let _ = std::fs::remove_dir_all(&dir);
@@ -239,7 +251,8 @@ fn interrupted_run_resumes_byte_identical() {
         let clean = {
             let _guard = scoped_failpoints("");
             let (thor, table, docs) = setup(cache, threads);
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, None, false))
+            thor.prepare(&table)
+                .enrich_resilient(&docs, &opts(RunMode::Strict, None, false))
                 .unwrap()
         };
 
@@ -249,7 +262,8 @@ fn interrupted_run_resumes_byte_identical() {
         {
             let _guard = scoped_failpoints("extract:err@3");
             let (thor, table, docs) = setup(cache, threads);
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+            thor.prepare(&table)
+                .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
                 .expect_err("injected fault must abort the strict run");
         }
         let cp = thor_fault::Checkpoint::load(&dir).unwrap().unwrap();
@@ -263,7 +277,8 @@ fn interrupted_run_resumes_byte_identical() {
         let resumed = {
             let _guard = scoped_failpoints("");
             let (thor, table, docs) = setup(cache, threads);
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+            thor.prepare(&table)
+                .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
                 .unwrap()
         };
         assert_eq!(resumed.resumed_docs, cp.processed.len(), "{tag}");
@@ -288,10 +303,12 @@ fn resume_after_completion_is_a_fast_noop_with_identical_output() {
     let _guard = scoped_failpoints("");
     let (thor, table, docs) = setup(4096, 1);
     let first = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
         .unwrap();
     let second = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
         .unwrap();
     assert_eq!(second.resumed_docs, docs.len());
     assert_eq!(second.processed_docs, 0);
@@ -305,12 +322,39 @@ fn resume_refuses_checkpoint_from_different_run() {
     let dir = temp_dir("fingerprint");
     let _guard = scoped_failpoints("");
     let (thor, table, docs) = setup(4096, 1);
-    thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+    thor.prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
         .unwrap();
     // Same checkpoint, different τ — a different run; refuse to mix.
     let other = Thor::new(thor.store().clone(), ThorConfig::with_tau(0.8));
     let err = other
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Checkpoint);
+    assert!(err.to_string().contains("refusing to resume"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_checkpoint_written_under_a_different_vector_store() {
+    let dir = temp_dir("store");
+    let _guard = scoped_failpoints("");
+    let (thor, table, docs) = setup(4096, 1);
+    let under_a = thor
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
+        .unwrap();
+    // Same table, config and documents; only the vectors differ.
+    let other = Thor::new(store(22), thor.config().clone());
+    let fresh_b = other.prepare(&table).enrich(&docs);
+    assert_ne!(
+        fresh_b.entities, under_a.result.entities,
+        "the two stores must disagree for this check to mean anything"
+    );
+    let err = other
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Checkpoint);
     assert!(err.to_string().contains("refusing to resume"), "{err}");
@@ -325,7 +369,8 @@ fn resumed_metrics_span_the_whole_logical_run() {
         let metrics = PipelineMetrics::new();
         let (thor, table, docs) = setup(4096, 1);
         let thor = thor.with_metrics(metrics);
-        thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+        thor.prepare(&table)
+            .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
             .expect_err("injected fault");
     }
     let _guard = scoped_failpoints("");
@@ -333,7 +378,8 @@ fn resumed_metrics_span_the_whole_logical_run() {
     let (thor, table, docs) = setup(4096, 1);
     let thor = thor.with_metrics(metrics.clone());
     let outcome = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
         .unwrap();
     // Counters absorbed from the checkpoint + this invocation's work
     // cover every document exactly once.

@@ -1,5 +1,5 @@
 //! Property: a streaming [`thor_core::EnrichmentSession`] fed the same
-//! documents as a batch [`thor_core::Thor::enrich`] — in *any* order —
+//! documents as a batch [`thor_core::PreparedEngine::enrich`] — in *any* order —
 //! converges to the same slot-filled table and the same set of entity
 //! predictions. Slot filling is a set-semantic idempotent insert and
 //! entity keys carry the document id, so stream order must be
@@ -128,7 +128,7 @@ proptest! {
         let thor = thor();
         let table = table();
         let docs = docs_from(&picks);
-        let batch = thor.enrich(&table, &docs);
+        let batch = thor.prepare(&table).enrich(&docs);
 
         // Re-order the stream: rotate, optionally reverse.
         let mut stream: Vec<&Document> = docs.iter().collect();
@@ -138,7 +138,7 @@ proptest! {
             stream.reverse();
         }
 
-        let mut session = thor.session(&table);
+        let mut session = thor.prepare(&table).session();
         for doc in stream {
             session.process(doc);
         }
@@ -162,7 +162,7 @@ proptest! {
         let thor = thor();
         let table = table();
         let docs = docs_from(&picks);
-        let mut session = thor.session(&table);
+        let mut session = thor.prepare(&table).session();
         for doc in &docs {
             session.process(doc);
         }
@@ -228,9 +228,10 @@ fn corpus() -> Vec<Document> {
     docs_from(&picks)
 }
 
-const COUNTS: [&str; 5] = [
+const COUNTS: [&str; 6] = [
     "docs",
     "sentences",
+    "segments",
     "candidates",
     "entities",
     "slots.inserted",
@@ -247,19 +248,32 @@ fn every_entry_point_produces_identical_output_and_counts() {
             let metered = engine.with_threads(threads).with_metrics(metrics.clone());
             let (table, entities, _) = run(&metered, &docs);
             let snap = metrics.snapshot();
-            let counts: Vec<u64> = COUNTS.iter().map(|c| snap.count(c)).collect();
+            let mut counts: Vec<u64> = COUNTS.iter().map(|c| snap.count(c)).collect();
+            // One `stage.segment` span per document on every path.
+            counts.push(metrics.segment.spans());
             let answer = (to_csv(&table), entities_tsv(&entities), entities, counts);
             let label = format!("{name}, threads={threads}");
+            // A session slot-fills as each document arrives; every batch
+            // path slot-fills once, after dedup.
+            let slot_fills = if name == "session" { docs.len() } else { 1 };
+            assert_eq!(
+                metrics.slot_fill.spans(),
+                slot_fills as u64,
+                "{label}: stage.slot_fill span count"
+            );
             match &reference {
                 None => {
-                    assert!(answer.3[3] > 0, "the corpus must produce entities");
+                    assert!(answer.3[4] > 0, "the corpus must produce entities");
                     reference = Some(answer);
                 }
                 Some((csv, tsv, entities, counts)) => {
                     assert_eq!(&answer.0, csv, "{label}: CSV diverged");
                     assert_eq!(&answer.1, tsv, "{label}: entity TSV diverged");
                     assert_eq!(&answer.2, entities, "{label}: entities diverged");
-                    assert_eq!(&answer.3, counts, "{label}: {COUNTS:?} diverged");
+                    assert_eq!(
+                        &answer.3, counts,
+                        "{label}: {COUNTS:?} + stage.segment spans diverged"
+                    );
                 }
             }
         }

@@ -91,22 +91,32 @@ enum CachedMatch {
 
 /// The fine-tuned semantic similarity matcher.
 ///
-/// The vector store is `Arc`-shared end to end: fine-tuning, the
-/// prepared-engine layer and every matcher clone reference one
-/// immutable store — no serve-path API deep-copies the vectors.
+/// Everything fine-tuning produces — the concept clusters, the frozen
+/// [`VectorIndex`] and its pruning structures, the seed syntax, and the
+/// `Arc`-shared vector store — lives in one immutable bundle
+/// behind an `Arc`. A matcher adds only its serving state (config,
+/// phrase cache, metrics handle), so clones and the `with_*`
+/// derivations share the frozen bundle instead of copying it.
 #[derive(Debug, Clone)]
 pub struct SimilarityMatcher {
+    frozen: Arc<Frozen>,
+    cache: PhraseCache<CachedMatch>,
+    config: MatcherConfig,
+    metrics: Option<PipelineMetrics>,
+}
+
+/// The τ-specific output of fine-tuning, shared by every matcher
+/// derived from it.
+#[derive(Debug)]
+struct Frozen {
     store: Arc<VectorStore>,
     clusters: Vec<ConceptCluster>,
     index: VectorIndex,
     /// The frozen pruning structures (always built — a pure function of
     /// the index — so saved artifacts are identical whatever the
     /// serving-time [`PruneMode`]).
-    prune: Arc<PruneIndex>,
-    cache: PhraseCache<CachedMatch>,
+    prune: PruneIndex,
     seed_syntax: Arc<SeedSyntax>,
-    config: MatcherConfig,
-    metrics: Option<PipelineMetrics>,
 }
 
 impl SimilarityMatcher {
@@ -124,98 +134,56 @@ impl SimilarityMatcher {
     /// Fine-tuning also builds the structure-of-arrays [`VectorIndex`]
     /// the matcher scans at query time, and a fresh [`PhraseCache`] —
     /// re-fine-tuning therefore invalidates all cached candidates by
-    /// construction.
+    /// construction. It is prepare-then-derive at the same τ: sharing
+    /// [`PreparedMatcher::matcher_at`] with the engine's τ-sweep
+    /// derivation is what makes derived matchers bit-identical to fresh
+    /// ones.
     pub fn fine_tune(
         concepts: &[(String, Vec<String>)],
         store: impl Into<Arc<VectorStore>>,
         config: MatcherConfig,
     ) -> Self {
-        Self::fine_tune_impl(concepts, store.into(), config, None)
+        PreparedMatcher::prepare(concepts, store.into(), config.clone()).matcher_at(config, None)
     }
 
-    /// [`SimilarityMatcher::fine_tune`] with observability: fine-tuning
-    /// statistics (vocabulary size, expansion counts, representative
-    /// counts, index build time) are recorded into `metrics`, and the
-    /// matcher keeps the handle so subsequent matching calls record
-    /// subphrase/candidate/cache counts and per-call timing.
-    pub fn fine_tune_metered(
-        concepts: &[(String, Vec<String>)],
-        store: impl Into<Arc<VectorStore>>,
-        config: MatcherConfig,
-        metrics: PipelineMetrics,
-    ) -> Self {
-        Self::fine_tune_impl(concepts, store.into(), config, Some(metrics))
-    }
-
-    /// One-shot fine-tuning is prepare-then-derive at the same τ: the
-    /// [`PreparedMatcher`] runs the vocabulary scan, `matcher_at`
-    /// filters/truncates and assembles the matcher. Sharing this single
-    /// construction path with the engine's τ-sweep derivation is what
-    /// makes derived matchers bit-identical to fresh ones.
-    fn fine_tune_impl(
-        concepts: &[(String, Vec<String>)],
-        store: Arc<VectorStore>,
-        config: MatcherConfig,
-        metrics: Option<PipelineMetrics>,
-    ) -> Self {
-        PreparedMatcher::prepare(concepts, store, config.clone()).matcher_at(config, metrics)
-    }
-
-    /// Assemble a matcher from already-derived clusters: freeze the
-    /// index (timed under `index.build`), record the fine-tune gauges,
-    /// and open a fresh phrase cache. Crate-internal — the only callers
-    /// are [`PreparedMatcher::matcher_at`] and (through it) fine-tuning.
-    pub(crate) fn from_clusters(
+    /// Assemble a matcher from already-derived clusters, record the
+    /// fine-tune gauges, and open a fresh phrase cache. `prebuilt` is
+    /// the index (and, when persisted, its pruning structures) of the
+    /// artifact load and delta paths, whose arrays may be zero-copy
+    /// views into a mapped file; the caller is responsible for it
+    /// matching the clusters (`PreparedMatcher::matcher_with_index`
+    /// validates the layout). `None` freezes a fresh index, timed under
+    /// `index.build`. Missing pruning structures are rebuilt
+    /// deterministically from the index.
+    pub(crate) fn assemble(
         store: Arc<VectorStore>,
         clusters: Vec<ConceptCluster>,
+        prebuilt: Option<(VectorIndex, Option<PruneIndex>)>,
         seed_syntax: Arc<SeedSyntax>,
         config: MatcherConfig,
         metrics: Option<PipelineMetrics>,
     ) -> Self {
-        let (index, prune) = {
-            let _span = metrics.as_ref().map(|m| m.index_build.start());
-            let index = Self::build_index(&clusters, store.dim());
-            let prune = Arc::new(PruneIndex::build(&index));
-            (index, prune)
+        let (index, prune) = match prebuilt {
+            Some((index, prune)) => {
+                let prune = prune.unwrap_or_else(|| PruneIndex::build(&index));
+                (index, prune)
+            }
+            None => {
+                let _span = metrics.as_ref().map(|m| m.index_build.start());
+                let index = Self::build_index(&clusters, store.dim());
+                let prune = PruneIndex::build(&index);
+                (index, prune)
+            }
         };
         let matcher = Self {
-            store,
-            clusters,
-            index,
-            prune,
+            frozen: Arc::new(Frozen {
+                store,
+                clusters,
+                index,
+                prune,
+                seed_syntax,
+            }),
             cache: PhraseCache::new(config.cache_capacity),
-            seed_syntax,
-            config,
-            metrics,
-        };
-        matcher.record_fine_tune_gauges();
-        matcher
-    }
-
-    /// [`SimilarityMatcher::from_clusters`] with an already-built
-    /// index (the artifact load path, where the index arrays may be
-    /// zero-copy views into a mapped file). The caller is responsible
-    /// for the index matching the clusters —
-    /// `PreparedMatcher::matcher_with_index` validates the layout. A
-    /// `None` prune structure is rebuilt deterministically from the
-    /// index (the pre-pruning-artifact compatibility path).
-    pub(crate) fn from_clusters_prebuilt(
-        store: Arc<VectorStore>,
-        clusters: Vec<ConceptCluster>,
-        index: VectorIndex,
-        prune: Option<Arc<PruneIndex>>,
-        seed_syntax: Arc<SeedSyntax>,
-        config: MatcherConfig,
-        metrics: Option<PipelineMetrics>,
-    ) -> Self {
-        let prune = prune.unwrap_or_else(|| Arc::new(PruneIndex::build(&index)));
-        let matcher = Self {
-            store,
-            clusters,
-            index,
-            prune,
-            cache: PhraseCache::new(config.cache_capacity),
-            seed_syntax,
             config,
             metrics,
         };
@@ -227,28 +195,24 @@ impl SimilarityMatcher {
     /// count, index rows) on the attached metrics handle, if any.
     fn record_fine_tune_gauges(&self) {
         if let Some(m) = &self.metrics {
-            m.vocab_words.set(self.store.len() as u64);
+            m.vocab_words.set(self.frozen.store.len() as u64);
             m.cluster_representatives.set(
-                self.clusters
+                self.frozen
+                    .clusters
                     .iter()
                     .map(|c| c.representative_count() as u64)
                     .sum(),
             );
-            m.index_rows.set(self.index.row_count() as u64);
+            m.index_rows.set(self.frozen.index.row_count() as u64);
         }
     }
 
-    /// A clone serving under `config` and recording into `metrics`,
-    /// sharing the store, index (zero-copy views stay views) and
-    /// pruning structures, with a fresh phrase cache.
+    /// A matcher serving under `config` and recording into `metrics`,
+    /// sharing this one's frozen state, with a fresh phrase cache.
     fn derive(&self, config: MatcherConfig, metrics: Option<PipelineMetrics>) -> Self {
         Self {
-            store: self.store.clone(),
-            clusters: self.clusters.clone(),
-            index: self.index.clone(),
-            prune: self.prune.clone(),
+            frozen: Arc::clone(&self.frozen),
             cache: PhraseCache::new(config.cache_capacity),
-            seed_syntax: self.seed_syntax.clone(),
             config,
             metrics,
         }
@@ -271,6 +235,7 @@ impl SimilarityMatcher {
     /// fine-tune.
     pub fn with_metrics(&self, metrics: PipelineMetrics) -> Self {
         let expansion: usize = self
+            .frozen
             .clusters
             .iter()
             .map(|c| c.representative_count() - c.seed_count())
@@ -310,29 +275,29 @@ impl SimilarityMatcher {
 
     /// The concept clusters.
     pub fn clusters(&self) -> &[ConceptCluster] {
-        &self.clusters
+        &self.frozen.clusters
     }
 
     /// The underlying vector table.
     pub fn store(&self) -> &VectorStore {
-        &self.store
+        &self.frozen.store
     }
 
     /// The shared handle to the vector table — cloning this is a
     /// refcount bump, never a deep copy.
     pub fn store_arc(&self) -> &Arc<VectorStore> {
-        &self.store
+        &self.frozen.store
     }
 
     /// The structure-of-arrays index frozen at fine-tune time.
     pub fn index(&self) -> &VectorIndex {
-        &self.index
+        &self.frozen.index
     }
 
     /// The pruning structures frozen next to the index, for artifact
     /// serialization.
     pub fn prune_index(&self) -> &PruneIndex {
-        &self.prune
+        &self.frozen.prune
     }
 
     /// The configured [`PruneMode`].
@@ -346,7 +311,7 @@ impl SimilarityMatcher {
     /// kernels look the seed side of each similarity up here instead of
     /// re-tokenizing it per candidate.
     pub fn seed_syntax(&self) -> &SeedSyntax {
-        &self.seed_syntax
+        &self.frozen.seed_syntax
     }
 
     /// Statistics of the phrase cache (shared by all clones of this
@@ -359,7 +324,7 @@ impl SimilarityMatcher {
     /// step and by segmentation); `None` when either phrase has no
     /// in-vocabulary word.
     pub fn try_similarity(&self, a: &str, b: &str) -> Option<f64> {
-        self.store.phrase_similarity(a, b)
+        self.frozen.store.phrase_similarity(a, b)
     }
 
     /// [`SimilarityMatcher::try_similarity`] collapsed to `0.0` for
@@ -470,7 +435,7 @@ impl SimilarityMatcher {
     /// survivors by mean pairwise similarity, then find `c_m` among the
     /// winner's seed rows.
     fn score_subphrase(&self, sub: &str) -> CachedMatch {
-        let Some(query) = self.store.embed_phrase(sub) else {
+        let Some(query) = self.frozen.store.embed_phrase(sub) else {
             return CachedMatch::Oov;
         };
         let qn = query.norm();
@@ -484,7 +449,7 @@ impl SimilarityMatcher {
             self.best_gated_concept_pruned(q, qn, &mut stats)
         } else {
             let mut best: Option<(usize, f64)> = None;
-            for scores in self.index.scan(q, qn) {
+            for scores in self.frozen.index.scan(q, qn) {
                 let Some(best_rep) = scores.max else {
                     continue;
                 };
@@ -501,14 +466,16 @@ impl SimilarityMatcher {
         let scored = (|| {
             let (ci, cluster_score) = best?;
             let seed = if pruned {
-                self.prune.best_seed(&self.index, ci, q, qn, &mut stats)
+                self.frozen
+                    .prune
+                    .best_seed(&self.frozen.index, ci, q, qn, &mut stats)
             } else {
-                self.index.best_seed(ci, q, qn)
+                self.frozen.index.best_seed(ci, q, qn)
             };
             let (seed, seed_sim) = seed?;
             Some(CandidateEntity {
                 phrase: sub.to_string(),
-                concept: self.index.concept_name(ci).to_string(),
+                concept: self.frozen.index.concept_name(ci).to_string(),
                 matched_instance: seed.to_string(),
                 semantic_score: seed_sim.clamp(0.0, 1.0),
                 cluster_score,
@@ -544,11 +511,11 @@ impl SimilarityMatcher {
         stats: &mut PruneStats,
     ) -> Option<(usize, f64)> {
         let quant = match self.config.prune {
-            PruneMode::Approx { margin } => Some((self.prune.quantize_query(q), margin)),
+            PruneMode::Approx { margin } => Some((self.frozen.prune.quantize_query(q), margin)),
             _ => None,
         };
-        let mut order: Vec<(f64, usize)> = (0..self.index.concept_count())
-            .filter_map(|ci| self.index.concept_mean(ci, q, qn).map(|m| (m, ci)))
+        let mut order: Vec<(f64, usize)> = (0..self.frozen.index.concept_count())
+            .filter_map(|ci| self.frozen.index.concept_mean(ci, q, qn).map(|m| (m, ci)))
             .collect();
         // Similarity means are never -0.0 (f64 sums that hit zero round
         // to +0.0), so total_cmp ranks exactly like the exhaustive
@@ -556,10 +523,15 @@ impl SimilarityMatcher {
         order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         for &(mean, ci) in &order {
             let quant_ref = quant.as_ref().map(|(qq, margin)| (qq, *margin));
-            if self
-                .prune
-                .gate(&self.index, ci, q, qn, self.config.tau, quant_ref, stats)
-            {
+            if self.frozen.prune.gate(
+                &self.frozen.index,
+                ci,
+                q,
+                qn,
+                self.config.tau,
+                quant_ref,
+                stats,
+            ) {
                 return Some((ci, mean));
             }
         }
@@ -595,12 +567,12 @@ impl SimilarityMatcher {
                     continue;
                 }
                 let sub = slice.join(" ");
-                let Some(query) = self.store.embed_phrase(&sub) else {
+                let Some(query) = self.frozen.store.embed_phrase(&sub) else {
                     continue;
                 };
                 // Pick the single best-fitting accepted cluster.
                 let mut best: Option<(&ConceptCluster, f64)> = None;
-                for cluster in &self.clusters {
+                for cluster in &self.frozen.clusters {
                     let Some(score) = cluster.score(&query) else {
                         continue;
                     };

@@ -278,9 +278,10 @@ impl PreparedMatcher {
         metrics: Option<PipelineMetrics>,
     ) -> SimilarityMatcher {
         let clusters = self.clusters_at(&config, metrics.as_ref());
-        SimilarityMatcher::from_clusters(
+        SimilarityMatcher::assemble(
             Arc::clone(&self.store),
             clusters,
+            None,
             Arc::clone(&self.seed_syntax),
             config,
             metrics,
@@ -409,7 +410,7 @@ impl PreparedMatcher {
         config: MatcherConfig,
         metrics: Option<PipelineMetrics>,
         index: VectorIndex,
-        prune: Option<Arc<PruneIndex>>,
+        prune: Option<PruneIndex>,
     ) -> Result<SimilarityMatcher, String> {
         let clusters = self.clusters_at(&config, None);
         if index.dim() != self.store.dim() {
@@ -445,11 +446,10 @@ impl PreparedMatcher {
             }
             expect_start += rows;
         }
-        Ok(SimilarityMatcher::from_clusters_prebuilt(
+        Ok(SimilarityMatcher::assemble(
             Arc::clone(&self.store),
             clusters,
-            index,
-            prune,
+            Some((index, prune)),
             Arc::clone(&self.seed_syntax),
             config,
             metrics,

@@ -51,9 +51,10 @@
 //! state. Deltas stack; `thor compact` folds a chain back into the
 //! single artifact a fresh build would have written, byte-identical.
 //! `thor inspect` recognizes delta artifacts and prints the chain.
-//! Checkpoint/resume composes with engines: the resume fingerprint
-//! covers configuration + table + corpus, so a checkpoint taken with an
-//! engine resumes under the same engine (or an identically-built one).
+//! Checkpoint/resume composes with engines: the resume fingerprint is
+//! the engine fingerprint (configuration + table + vectors) plus the
+//! corpus, so a checkpoint taken with an engine resumes under the same
+//! engine (or an identically-built one) and is refused under any other.
 //!
 //! Annotation TSV format: `doc_id<TAB>concept<TAB>phrase`, one per line.
 //! Vector file format: word2vec-style text (`thor generate` writes one).
@@ -748,7 +749,7 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
             thor.prepare(&table)
                 .enrich_resilient_stream(&stream_ids, reader, &opts, chunk)?
         } else {
-            thor.enrich_resilient(&table, &docs, &opts)?
+            thor.prepare(&table).enrich_resilient(&docs, &opts)?
         }
     };
     let result = &outcome.result;

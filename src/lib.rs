@@ -19,8 +19,8 @@
 //!     .words("anatomy", ["lung", "heart"])
 //!     .build()
 //!     .into_store();
-//! let thor = Thor::new(store, ThorConfig::with_tau(0.8));
-//! let enriched = thor.enrich(&table, &[Document::new("d", "Tuberculosis damages the heart.")]);
+//! let engine = Thor::new(store, ThorConfig::with_tau(0.8)).prepare(&table);
+//! let enriched = engine.enrich(&[Document::new("d", "Tuberculosis damages the heart.")]);
 //! assert!(enriched.table.get_row("Tuberculosis").is_some());
 //! ```
 

@@ -8,7 +8,8 @@
 use std::time::Duration;
 
 use thor_core::{
-    Document, MapMode, PreparedEngine, Thor, ThorConfig, ENGINE_FORMAT_VERSION, ENGINE_MAGIC,
+    Document, MapMode, PreparedEngine, PruneMode, Thor, ThorConfig, ENGINE_FORMAT_VERSION,
+    ENGINE_MAGIC,
 };
 use thor_data::{outer_join, Schema, Table};
 use thor_embed::{SemanticSpaceBuilder, VectorStore};
@@ -349,4 +350,44 @@ fn loading_is_cheaper_than_building() {
     // from the builder.
     assert_ne!(loaded.prepare_time(), built.prepare_time());
     let _ = build_wall;
+}
+
+/// The `with_*` derivations share the engine's frozen state: on an
+/// owned build, the index rows, the concept clusters and the subject
+/// list of every derived engine are the very same allocations.
+#[test]
+fn derivations_share_the_frozen_state() {
+    let engine = Thor::new(fixture_store(), ThorConfig::with_tau(0.6)).prepare(&fixture_table());
+    let frozen = |e: &PreparedEngine| {
+        (
+            e.matcher().index().data().as_ptr(),
+            e.matcher().clusters().as_ptr(),
+            e.subjects().as_ptr(),
+        )
+    };
+    let base = frozen(&engine);
+    for (name, derived) in [
+        ("with_threads(4)", engine.with_threads(4)),
+        ("with_prune(Exact)", engine.with_prune(PruneMode::Exact)),
+        ("with_metrics", engine.with_metrics(PipelineMetrics::new())),
+    ] {
+        assert_eq!(frozen(&derived), base, "{name} copied frozen state");
+    }
+}
+
+/// Golden artifact: a fixed table and store must keep producing the
+/// same engine fingerprint and the same saved bytes (FNV-1a digest), so
+/// artifacts already on disk keep loading and keep their fingerprint.
+#[test]
+fn artifact_bytes_and_fingerprint_are_pinned() {
+    let engine = Thor::new(fixture_store(), ThorConfig::with_tau(0.6)).prepare(&fixture_table());
+    let path = scratch("golden");
+    engine.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(engine.fingerprint(), "9b8c579e1eb8006e");
+    assert_eq!(
+        format!("{:016x}", thor_fault::fnv1a(&bytes)),
+        "4e6fffa714963547"
+    );
 }
