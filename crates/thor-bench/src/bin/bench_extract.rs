@@ -15,16 +15,25 @@
 //! end-to-end kernel-vs-reference comparison lives in thor-core's
 //! `refine_kernels` test suite.)
 //!
+//! A second workload sweeps segmentation over the subject table: every
+//! split's documents are segmented against the table's own subjects and
+//! against 4× and 16× tables (each extra subject a variant name no
+//! document mentions), reporting `segment_us_per_doc` per size.
+//!
 //! Usage: `bench_extract [--smoke]` (env: `THOR_SCALE`, `THOR_SEED`).
 //! `--smoke` pins a small scale and few repetitions so CI can afford to
 //! run it on every push; the full mode additionally enforces the ≥3×
-//! speedup floor (smoke timings are too noisy to gate on).
+//! speedup floor and keeps segmentation at 16× subjects within 2× of
+//! 1× (smoke timings are too noisy to gate on).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use thor_bench::harness::{disease_dataset, scale_from_env, seed_from_env};
-use thor_core::{refine_candidates, refine_candidates_reference, Thor, ThorConfig};
+use thor_core::segment::{segment, Subjects};
+use thor_core::{
+    refine_candidates, refine_candidates_reference, Document, PreparedEngine, Thor, ThorConfig,
+};
 use thor_data::csv::to_csv;
 use thor_datagen::Split;
 use thor_match::CandidateSource;
@@ -33,6 +42,45 @@ use thor_text::ScoreScratch;
 
 /// Mid-sweep τ: representative clusters are at their paper-default size.
 const TAU: f64 = 0.7;
+
+/// Subject-table sizes of the segmentation sweep, as multiples of the
+/// table's own subject count.
+const SWEEP: [usize; 3] = [1, 4, 16];
+
+/// Median segmentation time per document (µs) for each [`SWEEP`] size,
+/// with the subject count. Sizes are interleaved within every rep so
+/// drift hits them alike.
+fn segment_sweep(engine: &PreparedEngine, docs: &[Document], reps: usize) -> Vec<(usize, f64)> {
+    let base: &[String] = engine.subjects();
+    let tables: Vec<Subjects> = SWEEP
+        .iter()
+        .map(|&factor| {
+            let variants =
+                (1..factor).flat_map(|k| base.iter().map(move |s| format!("{s} variant {k}")));
+            let names: Vec<String> = base.iter().cloned().chain(variants).collect();
+            Subjects::new(names, engine.store())
+        })
+        .collect();
+    let mode = engine.config().segmentation;
+    let mut samples = vec![Vec::with_capacity(reps); SWEEP.len()];
+    for _ in 0..reps {
+        for (subjects, out) in tables.iter().zip(&mut samples) {
+            let t0 = Instant::now();
+            for doc in docs {
+                std::hint::black_box(segment(doc, subjects, engine.matcher(), mode));
+            }
+            out.push(t0.elapsed().as_secs_f64() * 1e6 / docs.len() as f64);
+        }
+    }
+    tables
+        .iter()
+        .zip(samples)
+        .map(|(subjects, mut us)| {
+            us.sort_by(f64::total_cmp);
+            (subjects.len(), us[us.len() / 2])
+        })
+        .collect()
+}
 
 /// Crude sentence split — the workload only needs realistic candidate
 /// lists, not linguistically perfect boundaries.
@@ -134,6 +182,14 @@ fn main() {
         "kernel enrich CSV diverged across threads"
     );
 
+    // Every split's documents: the test split alone is too few to time.
+    let sweep_docs: Vec<Document> = [Split::Train, Split::Validation, Split::Test]
+        .into_iter()
+        .flat_map(|s| dataset.documents(s))
+        .collect();
+    let sweep = segment_sweep(&engine, &sweep_docs, reps);
+    let growth = sweep[SWEEP.len() - 1].1 / sweep[0].1;
+
     let mut doc = BTreeMap::new();
     doc.insert("bench".into(), Json::Str("extract".into()));
     doc.insert(
@@ -152,6 +208,24 @@ fn main() {
     doc.insert("kernel_selections_per_sec".into(), Json::Float(kernel_rate));
     doc.insert("speedup".into(), Json::Float(speedup));
     doc.insert("csv_byte_identical".into(), Json::Bool(true));
+    doc.insert("segment_docs".into(), Json::UInt(sweep_docs.len() as u64));
+    doc.insert(
+        "segment_sweep".into(),
+        Json::Array(
+            SWEEP
+                .iter()
+                .zip(&sweep)
+                .map(|(&factor, &(subjects, us))| {
+                    let mut row = BTreeMap::new();
+                    row.insert("factor".into(), Json::UInt(factor as u64));
+                    row.insert("subjects".into(), Json::UInt(subjects as u64));
+                    row.insert("segment_us_per_doc".into(), Json::Float(us));
+                    Json::Object(row)
+                })
+                .collect(),
+        ),
+    );
+    doc.insert("segment_growth_16x".into(), Json::Float(growth));
     let rendered = Json::Object(doc).render();
     std::fs::write("BENCH_extract.json", format!("{rendered}\n"))
         .expect("write BENCH_extract.json");
@@ -161,10 +235,17 @@ fn main() {
          speedup {speedup:.1}x | pruned {:.1}%",
         pruned_fraction * 100.0
     );
+    for (&factor, (subjects, us)) in SWEEP.iter().zip(&sweep) {
+        println!("segment {factor:>2}x ({subjects} subjects): {us:.1} us/doc");
+    }
     if !smoke {
         assert!(
             speedup >= 3.0,
             "expected >=3x speedup over reference refinement, got {speedup:.2}x"
+        );
+        assert!(
+            growth <= 2.0,
+            "segmentation at 16x subjects is {growth:.2}x the 1x cost (gate: <=2x)"
         );
     }
 }

@@ -38,6 +38,7 @@ use crate::engine::{
     concept_instances, engine_fingerprint, meta_fingerprint, EngineInner, ENGINE_LAZY_SECTIONS,
     SEC_META,
 };
+use crate::segment::Subjects;
 use crate::PreparedEngine;
 
 /// New seed instances (and, implicitly, new subject rows) to merge into
@@ -241,7 +242,7 @@ impl PreparedEngine {
         Ok(EngineInner {
             fingerprint: engine_fingerprint(&inner.config, table_digest, inner.store_digest),
             config: inner.config.clone(),
-            subjects: table.subjects().map(str::to_string).collect(),
+            subjects: Arc::new(Subjects::new(table.subjects(), matcher.store())),
             table: Arc::new(table),
             prep: Arc::new(prep),
             matcher,

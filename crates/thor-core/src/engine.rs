@@ -56,7 +56,7 @@ use crate::entity::ExtractedEntity;
 use crate::extract::extract_entities;
 use crate::pipeline::{dedup_entities, EnrichmentResult, EnrichmentSession, Thor};
 use crate::pool::fan_out;
-use crate::segment::segment;
+use crate::segment::{segment, Subjects};
 use crate::slotfill::slot_fill_metered;
 
 /// Magic bytes opening an engine artifact file (shared with the
@@ -115,7 +115,7 @@ pub const ENGINE_LAZY_SECTIONS: &[&str] = &[
 pub(crate) struct EngineInner {
     pub(crate) config: ThorConfig,
     pub(crate) table: Arc<Table>,
-    pub(crate) subjects: Arc<[String]>,
+    pub(crate) subjects: Arc<Subjects>,
     pub(crate) prep: Arc<PreparedMatcher>,
     pub(crate) matcher: SimilarityMatcher,
     pub(crate) dictionary: Arc<DictionaryIndex>,
@@ -241,7 +241,7 @@ impl Thor {
                 fingerprint: engine_fingerprint(self.config(), table_digest, store_digest),
                 config: self.config().clone(),
                 table: Arc::new(table.clone()),
-                subjects: table.subjects().map(str::to_string).collect(),
+                subjects: Arc::new(Subjects::new(table.subjects(), matcher.store())),
                 prep: Arc::new(prep),
                 matcher,
                 dictionary: Arc::new(dictionary),
@@ -293,8 +293,9 @@ impl PreparedEngine {
         &self.inner.table
     }
 
-    /// The table's subject instances, in row order.
-    pub fn subjects(&self) -> &[String] {
+    /// The table's subject instances, in row order, frozen for
+    /// segmentation.
+    pub fn subjects(&self) -> &Subjects {
         &self.inner.subjects
     }
 
@@ -998,7 +999,7 @@ impl PreparedEngine {
         Ok(PreparedEngine {
             inner: Arc::new(EngineInner {
                 config,
-                subjects: table.subjects().map(str::to_string).collect(),
+                subjects: Arc::new(Subjects::new(table.subjects(), matcher.store())),
                 table: Arc::new(table),
                 prep: Arc::new(prep),
                 matcher,

@@ -364,7 +364,7 @@ mod tests {
     use super::*;
     use crate::config::ThorConfig;
     use crate::document::Document;
-    use crate::segment::{segment, SegmentedSentence};
+    use crate::segment::{segment, SegmentedSentence, Subjects};
     use thor_embed::SemanticSpaceBuilder;
     use thor_match::MatcherConfig;
     use thor_text::Sentence;
@@ -552,7 +552,7 @@ mod tests {
             "doc",
             "Acoustic Neuroma grows on the nerve. It may cause deafness.",
         );
-        let subjects = vec!["Acoustic Neuroma".to_string()];
+        let subjects = Subjects::new(["Acoustic Neuroma"], m.store());
         let segs = segment(&doc, &subjects, &m, Default::default());
         let entities = extract_entities(
             &segs,

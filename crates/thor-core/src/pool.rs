@@ -163,10 +163,13 @@ impl WorkerPool {
 /// Each worker owns one [`ScoreScratch`], reused across every item it
 /// takes. The calling thread delivers its own results and, between its
 /// items, the helpers' — it never sits idle waiting on a channel while
-/// items remain. No new item is started once `consume` has returned an
-/// error — the first error is returned after in-flight items finish,
-/// their results dropped — or once `cancel` has fired, which returns
-/// `Ok`: the caller decides what a fired token means.
+/// items remain. Every result sent before an item was claimed is
+/// delivered before that item's, so an item that fails `consume` never
+/// overtakes one finished before it was started. No new item is started
+/// once `consume` has returned an error — the first error is returned
+/// after in-flight items finish, their results dropped — or once
+/// `cancel` has fired, which returns `Ok`: the caller decides what a
+/// fired token means.
 pub(crate) fn fan_out<T, R, E>(
     threads: usize,
     items: &[T],
@@ -185,7 +188,9 @@ where
         if stop.load(Ordering::Relaxed) || cancel.is_cancelled() {
             return None;
         }
-        let i = next.fetch_add(1, Ordering::Relaxed);
+        // AcqRel: a worker's sends before a claim are visible to every
+        // later claimer, so the calling thread's drain below sees them.
+        let i = next.fetch_add(1, Ordering::AcqRel);
         items.get(i).map(|item| (i, item))
     };
     let (tx, rx) = mpsc::channel::<(usize, R)>();
@@ -204,10 +209,11 @@ where
         drop(tx);
         let mut scratch = ScoreScratch::new();
         while let Some((i, item)) = claim() {
-            deliver(i, work(item, &mut scratch));
-            for (j, result) in rx.try_iter() {
-                deliver(j, result);
+            let result = work(item, &mut scratch);
+            for (j, earlier) in rx.try_iter() {
+                deliver(j, earlier);
             }
+            deliver(i, result);
         }
         for (j, result) in rx.iter() {
             deliver(j, result);

@@ -42,8 +42,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use thor_fault::{
-    fail_point, fingerprint, validate_text, CancelToken, Checkpoint, DocumentPolicy, EntityRecord,
-    QuarantineEntry, QuarantineReport, ThorError, ThorResult,
+    fail_point, fail_point_for, fingerprint, validate_text, CancelToken, Checkpoint,
+    DocumentPolicy, EntityRecord, QuarantineEntry, QuarantineReport, ThorError, ThorResult,
 };
 use thor_obs::PipelineMetrics;
 use thor_text::ScoreScratch;
@@ -246,9 +246,9 @@ impl RunState {
 }
 
 /// The resilient wrapper around one document stage: a cancel check,
-/// the stage's failpoint, then the stage under `catch_unwind`. A
-/// failure quarantines the document at that stage; a fired token
-/// cancels it.
+/// the stage's failpoints (`name`, then `name#doc_id`), then the stage
+/// under `catch_unwind`. A failure quarantines the document at that
+/// stage; a fired token cancels it.
 struct Guarded<'a> {
     doc_id: &'a str,
     cancel: &'a CancelToken,
@@ -265,7 +265,9 @@ impl StageGuard for Guarded<'_> {
 
     fn stage<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> Result<T, DocFailure> {
         self.cancel.check(name).map_err(DocFailure::Cancelled)?;
-        match catch_unwind(AssertUnwindSafe(|| fail_point(name).map(|()| f()))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            fail_point_for(name, self.doc_id).map(|()| f())
+        })) {
             Ok(Ok(out)) => Ok(out),
             Ok(Err(e)) => Err(self.quarantined(name, e)),
             Err(payload) => Err(self.quarantined(name, ThorError::panic(name, payload.as_ref()))),

@@ -256,11 +256,13 @@ fn interrupted_run_resumes_byte_identical() {
                 .unwrap()
         };
 
-        // Interrupted run: an injected fault kills it mid-corpus, after
-        // some documents have been checkpointed.
+        // Interrupted run: an injected fault on the last document kills
+        // it. At most four workers claim five documents before `d5`, so
+        // one of them finished before `d5` was claimed, and the fan-out
+        // delivers it first: the checkpoint is partial, never empty.
         let dir = temp_dir(&tag);
         {
-            let _guard = scoped_failpoints("extract:err@3");
+            let _guard = scoped_failpoints("extract#d5:err");
             let (thor, table, docs) = setup(cache, threads);
             thor.prepare(&table)
                 .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))

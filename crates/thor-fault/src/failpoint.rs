@@ -11,7 +11,10 @@
 //! ```
 //!
 //! Each entry is `name:action[@n]` — on the `n`-th evaluation (1-based,
-//! default 1) of `fail_point(name)` the action fires **once**:
+//! default 1) of `fail_point(name)` the action fires **once**. A
+//! per-document seam also evaluates `name#doc_id` ([`fail_point_for`]),
+//! so `extract#d5:err` fails document `d5` whichever worker reaches it
+//! first:
 //!
 //! - `err`   — the seam returns an [`ErrorKind::Injected`] `ThorError`,
 //! - `panic` — the seam panics (exercising `catch_unwind` isolation),
@@ -159,6 +162,16 @@ pub fn fail_point(name: &str) -> ThorResult<()> {
     }
 }
 
+/// [`fail_point`] for one document: evaluates `name`, then the
+/// document-scoped `name#doc_id`.
+pub fn fail_point_for(name: &str, doc_id: &str) -> ThorResult<()> {
+    fail_point(name)?;
+    if !ARMED.load(Ordering::Acquire) {
+        return Ok(());
+    }
+    fail_point(&format!("{name}#{doc_id}"))
+}
+
 /// The canonical failpoint names compiled into the workspace's seams,
 /// for docs and for the chaos suite's "every site" sweep. Per-document
 /// sites quarantine in lenient mode; run-level sites fail the run (or,
@@ -233,6 +246,22 @@ mod tests {
         assert!(fail_point("read_doc").is_ok());
         // Other names are unaffected.
         assert!(fail_point("extract").is_ok());
+    }
+
+    #[test]
+    fn document_scoped_failpoint_fires_for_that_document_only() {
+        {
+            let _guard = scoped_failpoints("extract#d5:err");
+            assert!(fail_point_for("extract", "d4").is_ok());
+            let err = fail_point_for("extract", "d5").unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Injected);
+            assert!(err.to_string().contains("extract#d5"));
+            assert!(fail_point_for("segment", "d5").is_ok());
+        }
+        // The unscoped name still counts every document.
+        let _guard = scoped_failpoints("extract:err@2");
+        assert!(fail_point_for("extract", "d0").is_ok());
+        assert!(fail_point_for("extract", "d1").is_err());
     }
 
     #[test]

@@ -59,7 +59,8 @@ pub use chain::{DeltaMeta, SectionChain, DELTA_META_SECTION, DELTA_META_VERSION,
 pub use checkpoint::{fingerprint, Checkpoint, EntityRecord};
 pub use error::{ErrorKind, ResultExt, ThorError, ThorResult};
 pub use failpoint::{
-    fail_point, failpoints_armed, install_from_env, scoped_failpoints, FailAction, FailpointsGuard,
+    fail_point, fail_point_for, failpoints_armed, install_from_env, scoped_failpoints, FailAction,
+    FailpointsGuard,
 };
 pub use mmap::MappedBuf;
 pub use quarantine::{QuarantineEntry, QuarantineReport};

@@ -34,4 +34,4 @@ pub use entity::CandidateEntity;
 pub use index::{ConceptScores, VectorIndex, VectorIndexBuilder};
 pub use prune::{PruneIndex, PruneMode, PruneStats, PruneSummary, QuantQuery};
 pub use source::CandidateSource;
-pub use thor_automata::AhoCorasick;
+pub use thor_automata::{AhoCorasick, AhoCorasickBuilder};

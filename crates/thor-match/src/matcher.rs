@@ -320,21 +320,6 @@ impl SimilarityMatcher {
         self.cache.stats()
     }
 
-    /// Semantic similarity between two phrases (used by the refinement
-    /// step and by segmentation); `None` when either phrase has no
-    /// in-vocabulary word.
-    pub fn try_similarity(&self, a: &str, b: &str) -> Option<f64> {
-        self.frozen.store.phrase_similarity(a, b)
-    }
-
-    /// [`SimilarityMatcher::try_similarity`] collapsed to `0.0` for
-    /// out-of-vocabulary input. Lossy: an OOV phrase is
-    /// indistinguishable from true orthogonality; callers that must
-    /// tell the two apart use `try_similarity`.
-    pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        self.try_similarity(a, b).unwrap_or(0.0)
-    }
-
     /// `MATCHER.MATCH(p)`: extract candidate entities from phrase `p`.
     ///
     /// Enumerates contiguous subphrases (up to the configured length)
@@ -747,21 +732,6 @@ mod tests {
         assert!(c
             .windows(2)
             .all(|w| w[0].cluster_score >= w[1].cluster_score));
-    }
-
-    #[test]
-    fn similarity_helper() {
-        let m = matcher(0.7);
-        assert!(m.similarity("brain", "nerve") > m.similarity("brain", "walk"));
-        assert_eq!(m.similarity("xyzzy", "brain"), 0.0);
-    }
-
-    #[test]
-    fn try_similarity_distinguishes_oov_from_orthogonal() {
-        let m = matcher(0.7);
-        assert!(m.try_similarity("brain", "nerve").is_some());
-        assert_eq!(m.try_similarity("xyzzy", "brain"), None);
-        assert_eq!(m.try_similarity("brain", "xyzzy"), None);
     }
 
     #[test]

@@ -353,8 +353,9 @@ fn loading_is_cheaper_than_building() {
 }
 
 /// The `with_*` derivations share the engine's frozen state: on an
-/// owned build, the index rows, the concept clusters and the subject
-/// list of every derived engine are the very same allocations.
+/// owned build, the index rows, the concept clusters, the subject list
+/// and the segmentation index over it of every derived engine are the
+/// very same allocations.
 #[test]
 fn derivations_share_the_frozen_state() {
     let engine = Thor::new(fixture_store(), ThorConfig::with_tau(0.6)).prepare(&fixture_table());
@@ -363,6 +364,7 @@ fn derivations_share_the_frozen_state() {
             e.matcher().index().data().as_ptr(),
             e.matcher().clusters().as_ptr(),
             e.subjects().as_ptr(),
+            std::ptr::from_ref(e.subjects()),
         )
     };
     let base = frozen(&engine);
