@@ -83,17 +83,6 @@ pub struct ThorConfig {
     /// pipeline single-threaded (documents are independent once the
     /// matcher is fine-tuned, so extraction parallelizes trivially).
     pub threads: usize,
-    /// Candidate-generation pruning strategy. `Exact` (the default)
-    /// skips concepts and row blocks whose cosine upper bound cannot
-    /// beat the admission threshold — bit-identical to the exhaustive
-    /// scan, an output-neutral execution knob like `threads`.
-    /// `Approx { margin }` additionally pre-screens rows with the
-    /// i8-quantized copy (survivors are exactly rescored); it trades a
-    /// measured sliver of recall for throughput and is the only mode
-    /// that can change output. `Off` forces the exhaustive scan.
-    /// Excluded from fingerprints and not persisted in engine
-    /// artifacts.
-    pub prune: thor_match::PruneMode,
 }
 
 impl Default for ThorConfig {
@@ -108,7 +97,6 @@ impl Default for ThorConfig {
             np_chunking: true,
             context_gate: None,
             threads: 1,
-            prune: thor_match::PruneMode::Exact,
         }
     }
 }
@@ -136,7 +124,6 @@ impl ThorConfig {
             max_subphrase_words: self.max_subphrase_words,
             max_expansion: self.max_expansion,
             cache_capacity: self.cache_capacity,
-            prune: self.prune,
         }
     }
 }

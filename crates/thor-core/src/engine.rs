@@ -46,7 +46,7 @@ use thor_fault::{
     ThorError, ThorResult,
 };
 use thor_index::DictionaryIndex;
-use thor_match::{MatcherConfig, PreparedMatcher, PruneMode, SimilarityMatcher, TAU_RANGE};
+use thor_match::{MatcherConfig, PreparedMatcher, SimilarityMatcher, TAU_RANGE};
 use thor_obs::PipelineMetrics;
 use thor_text::ScoreScratch;
 
@@ -85,19 +85,18 @@ const SEC_IDX_NORMS: &str = "idx.norms";
 const SEC_IDX_REPSUMS: &str = "idx.repsums";
 const SEC_AUTOMATON: &str = "automaton";
 const SEC_SYNTAX: &str = "syntax.seeds";
-// Candidate-pruning acceleration structures (clustered bound pruning +
-// i8-quantized rows). Pure deterministic functions of the VectorIndex,
-// persisted so cold loads skip the k-means pass; artifacts written
-// before these sections existed still load — the structures are rebuilt
-// on the fly.
+// Candidate-pruning acceleration structures (clustered bound pruning).
+// Pure deterministic functions of the VectorIndex, persisted so cold
+// loads skip the k-means pass; artifacts written before these sections
+// existed still load — the structures are rebuilt on the fly. Artifacts
+// that also carry the retired `quant.rows`/`quant.scales` sections load
+// too: sections are looked up by name, so those are verified and unread.
 const SEC_PRUNE_META: &str = "prune.meta";
 const SEC_PRUNE_MEMBERS: &str = "prune.members";
 const SEC_PRUNE_CENTROIDS: &str = "prune.centroids";
 const SEC_PRUNE_RADII: &str = "prune.radii";
 const SEC_PRUNE_CONCEPT_CENTROIDS: &str = "prune.concept_centroids";
 const SEC_PRUNE_CONCEPT_RADII: &str = "prune.concept_radii";
-const SEC_QUANT_ROWS: &str = "quant.rows";
-const SEC_QUANT_SCALES: &str = "quant.scales";
 
 /// The O(vocabulary) sections a mapped load does **not** checksum, so
 /// cold-start stays flat in artifact size. Everything else — header,
@@ -376,23 +375,6 @@ impl PreparedEngine {
         self.derive(self.inner.matcher.clone(), |e| e.config.threads = threads)
     }
 
-    /// The same engine with a different candidate-pruning mode. `Exact`
-    /// (the default) and `Off` are bit-identical to each other —
-    /// bound-based skipping only drops scans that provably cannot win —
-    /// so like `threads` they are execution knobs: output and
-    /// fingerprint are unchanged. `Approx { margin }` pre-screens rows
-    /// with the i8-quantized copy and may miss candidates whose exact
-    /// similarity exceeds τ by less than the quantization error the
-    /// margin fails to cover; it shares the fingerprint because the
-    /// artifact bytes are mode-independent, but serve output may
-    /// differ. The matcher's phrase cache is restarted so entries
-    /// admitted under one mode never serve another.
-    pub fn with_prune(&self, prune: PruneMode) -> PreparedEngine {
-        self.derive(self.inner.matcher.with_prune_mode(prune), |e| {
-            e.config.prune = prune
-        })
-    }
-
     /// Attach an observability handle. The existing matcher is reused
     /// with the handle swapped in ([`SimilarityMatcher::with_metrics`]):
     /// nothing is re-derived, so a mapped engine keeps serving from its
@@ -548,8 +530,8 @@ impl PreparedEngine {
     /// The payload stores the configuration, the table CSV, the vector
     /// store (exact `f32` bit patterns), the untruncated τ-expansion
     /// candidate lists (exact `f64` bit patterns), the frozen vector
-    /// index with its pruning structures and quantized rows, the
-    /// dictionary automaton, and the seed-syntax instance list. Hot
+    /// index with its pruning structures, the dictionary automaton, and
+    /// the seed-syntax instance list. Hot
     /// arrays keep their in-memory layout, so a load validates them and
     /// borrows them in place instead of rebuilding them; the concept
     /// clusters are re-derived from the candidates and checked against
@@ -668,10 +650,9 @@ impl PreparedEngine {
         }
         sections.push((SEC_SYNTAX, 1, w.into_bytes()));
 
-        // Pruning index + quantized rows. Deterministic given the
-        // VectorIndex (fixed k-means seed and iteration count), so a
-        // delta-rebuilt engine serializes the same bytes as a fresh
-        // build of the same state.
+        // Pruning index. Deterministic given the VectorIndex (fixed
+        // k-means seed and iteration count), so a delta-rebuilt engine
+        // serializes the same bytes as a fresh build of the same state.
         let prune = inner.matcher.prune_index();
         sections.push((SEC_PRUNE_META, 1, prune.meta_bytes()));
         sections.push((SEC_PRUNE_MEMBERS, 1, le_bytes_u32(prune.members())));
@@ -687,8 +668,6 @@ impl PreparedEngine {
             1,
             le_bytes_f64(prune.concept_radii()),
         ));
-        sections.push((SEC_QUANT_ROWS, 1, prune.quant_codes().to_vec()));
-        sections.push((SEC_QUANT_SCALES, 1, le_bytes_f32(prune.quant_scales())));
 
         sections
     }
@@ -769,8 +748,6 @@ impl PreparedEngine {
                 max_subphrase_words: r.get_u64()? as usize,
                 max_expansion: r.get_u64()? as usize,
                 cache_capacity: r.get_u64()? as usize,
-                // Execution knob, never persisted.
-                prune: PruneMode::Exact,
             };
             let dim = r.get_u64()? as usize;
             let word_count = r.get_u64()? as usize;
@@ -911,8 +888,6 @@ impl PreparedEngine {
                     file.frozen_slice::<f64>(SEC_PRUNE_RADII)?,
                     file.frozen_slice::<f32>(SEC_PRUNE_CONCEPT_CENTROIDS)?,
                     file.frozen_slice::<f64>(SEC_PRUNE_CONCEPT_RADII)?,
-                    file.frozen_slice::<u8>(SEC_QUANT_ROWS)?,
-                    file.frozen_slice::<f32>(SEC_QUANT_SCALES)?,
                 )
                 .map_err(|m| invalid(format!("prune sections: {m}")))?,
             ),
@@ -1153,9 +1128,6 @@ fn read_config(r: &mut ByteReader<'_>) -> ThorResult<ThorConfig> {
         np_chunking,
         context_gate,
         threads,
-        // Execution knobs are not persisted (the artifact format is
-        // unchanged): a loaded engine starts from the defaults.
-        prune: thor_match::PruneMode::Exact,
     })
 }
 

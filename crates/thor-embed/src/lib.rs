@@ -25,14 +25,12 @@
 //! artifacts), the only interface the rest of the system sees.
 
 pub mod ppmi;
-pub mod quant;
 pub mod sgns;
 pub mod space;
 pub mod store;
 pub mod vector;
 
 pub use ppmi::{PpmiConfig, PpmiSvdTrainer};
-pub use quant::QuantizedStore;
 pub use sgns::{SgnsConfig, SgnsTrainer};
 pub use space::{SemanticSpace, SemanticSpaceBuilder, TopicSpec};
 pub use store::VectorStore;

@@ -32,6 +32,6 @@ pub use cache::{CacheStats, PhraseCache};
 pub use dictionary::DictionaryIndex;
 pub use entity::CandidateEntity;
 pub use index::{ConceptScores, VectorIndex, VectorIndexBuilder};
-pub use prune::{PruneIndex, PruneMode, PruneStats, PruneSummary, QuantQuery};
+pub use prune::{PruneIndex, PruneStats, PruneSummary};
 pub use source::CandidateSource;
 pub use thor_automata::{AhoCorasick, AhoCorasickBuilder};

@@ -33,5 +33,5 @@ pub use cluster::{ClusterScore, ConceptCluster};
 pub use matcher::{CandidateEntity, MatcherConfig, SimilarityMatcher, TAU_RANGE};
 pub use prepared::PreparedMatcher;
 pub use thor_index::{
-    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneMode, PruneStats, VectorIndex,
+    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneStats, VectorIndex,
 };

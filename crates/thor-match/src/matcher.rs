@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use thor_embed::VectorStore;
 use thor_index::{
-    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneMode, PruneStats, VectorIndex,
+    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneStats, VectorIndex,
     VectorIndexBuilder,
 };
 use thor_obs::PipelineMetrics;
@@ -41,12 +41,6 @@ pub struct MatcherConfig {
     /// caching. The cache never changes results — candidates are a pure
     /// function of the subphrase once the matcher is fine-tuned.
     pub cache_capacity: usize,
-    /// How `match_phrase` uses the frozen pruning structures. `Exact`
-    /// (the default) is bit-identical to the exhaustive scan; `Approx`
-    /// trades recall for speed through the quantized filter; `Off`
-    /// scans exhaustively. An execution knob, never part of the
-    /// fingerprint or the artifact.
-    pub prune: PruneMode,
 }
 
 impl Default for MatcherConfig {
@@ -56,7 +50,6 @@ impl Default for MatcherConfig {
             max_subphrase_words: 4,
             max_expansion: 200,
             cache_capacity: 4096,
-            prune: PruneMode::Exact,
         }
     }
 }
@@ -112,9 +105,7 @@ struct Frozen {
     store: Arc<VectorStore>,
     clusters: Vec<ConceptCluster>,
     index: VectorIndex,
-    /// The frozen pruning structures (always built — a pure function of
-    /// the index — so saved artifacts are identical whatever the
-    /// serving-time [`PruneMode`]).
+    /// The frozen pruning structures (a pure function of the index).
     prune: PruneIndex,
     seed_syntax: Arc<SeedSyntax>,
 }
@@ -218,15 +209,6 @@ impl SimilarityMatcher {
         }
     }
 
-    /// A clone of this matcher serving with `prune` instead. The phrase
-    /// cache starts fresh: approx-mode results may differ from exact
-    /// ones, and cached entries must never leak across modes.
-    pub fn with_prune_mode(&self, prune: PruneMode) -> Self {
-        let mut config = self.config.clone();
-        config.prune = prune;
-        self.derive(config, self.metrics.clone())
-    }
-
     /// A clone of this matcher recording into `metrics`, without
     /// re-deriving anything: the fine-tune statistics (vocabulary size,
     /// expansion and representative counts, index rows) are set from
@@ -298,11 +280,6 @@ impl SimilarityMatcher {
     /// serialization.
     pub fn prune_index(&self) -> &PruneIndex {
         &self.frozen.prune
-    }
-
-    /// The configured [`PruneMode`].
-    pub fn prune_mode(&self) -> PruneMode {
-        self.config.prune
     }
 
     /// Precomputed refinement syntax (lowercase word sets + char
@@ -425,39 +402,17 @@ impl SimilarityMatcher {
         };
         let qn = query.norm();
         let q = query.as_slice();
-        // Pruned triage needs a usable query direction; zero-norm
-        // queries (all similarities exactly 0.0) take the exhaustive
-        // path, which costs nothing extra at that degenerate point.
-        let pruned = qn != 0.0 && !matches!(self.config.prune, PruneMode::Off);
+        // A zero-norm query (all similarities exactly 0.0) needs no
+        // separate path: the pruned mean, gate and seed lookup each
+        // answer it with the exhaustive scan's semantics.
         let mut stats = PruneStats::default();
-        let best: Option<(usize, f64)> = if pruned {
-            self.best_gated_concept_pruned(q, qn, &mut stats)
-        } else {
-            let mut best: Option<(usize, f64)> = None;
-            for scores in self.frozen.index.scan(q, qn) {
-                let Some(best_rep) = scores.max else {
-                    continue;
-                };
-                if best_rep + 1e-9 < self.config.tau {
-                    continue;
-                }
-                let cluster_score = scores.mean.unwrap_or(0.0);
-                if best.is_none_or(|(_, s)| cluster_score > s) {
-                    best = Some((scores.concept, cluster_score));
-                }
-            }
-            best
-        };
+        let best = self.best_gated_concept(q, qn, &mut stats);
         let scored = (|| {
             let (ci, cluster_score) = best?;
-            let seed = if pruned {
+            let (seed, seed_sim) =
                 self.frozen
                     .prune
-                    .best_seed(&self.frozen.index, ci, q, qn, &mut stats)
-            } else {
-                self.frozen.index.best_seed(ci, q, qn)
-            };
-            let (seed, seed_sim) = seed?;
+                    .best_seed(&self.frozen.index, ci, q, qn, &mut stats)?;
             Some(CandidateEntity {
                 phrase: sub.to_string(),
                 concept: self.frozen.index.concept_name(ci).to_string(),
@@ -472,7 +427,6 @@ impl SimilarityMatcher {
             m.pruned_concepts.add(stats.concepts);
             m.pruned_clusters.add(stats.clusters);
             m.pruned_rows.add(stats.rows);
-            m.rescored_rows.add(stats.rescored);
         }
         match scored {
             Some(candidate) => CachedMatch::Match(candidate),
@@ -480,47 +434,34 @@ impl SimilarityMatcher {
         }
     }
 
-    /// The gate-and-rank of [`score_subphrase`](Self::score_subphrase),
-    /// pruned. The exhaustive loop picks, among concepts whose best
-    /// representative reaches τ, the one with the highest mean (ties to
-    /// the lowest index). Means are O(d) via the cached row sums, so
-    /// they are all computed exactly up front; concepts are then walked
-    /// in (mean desc, index asc) order and the first one whose τ-gate
-    /// passes is *the* winner — identical selection, but the expensive
+    /// The gate-and-rank of [`score_subphrase`](Self::score_subphrase).
+    /// Algorithm 1 picks, among concepts whose best representative
+    /// reaches τ, the one with the highest mean (ties to the lowest
+    /// index). Means are O(d) via the cached row sums, so they are all
+    /// computed exactly up front; concepts are then walked in (mean
+    /// desc, index asc) order and the first one whose τ-gate passes is
+    /// *the* winner — the exhaustive selection, but the expensive
     /// per-row gate runs only until the first survivor, and each gate
     /// prunes concept- and cluster-level blocks via their bounds.
-    fn best_gated_concept_pruned(
+    fn best_gated_concept(
         &self,
         q: &[f32],
         qn: f64,
         stats: &mut PruneStats,
     ) -> Option<(usize, f64)> {
-        let quant = match self.config.prune {
-            PruneMode::Approx { margin } => Some((self.frozen.prune.quantize_query(q), margin)),
-            _ => None,
-        };
         let mut order: Vec<(f64, usize)> = (0..self.frozen.index.concept_count())
             .filter_map(|ci| self.frozen.index.concept_mean(ci, q, qn).map(|m| (m, ci)))
             .collect();
         // Similarity means are never -0.0 (f64 sums that hit zero round
-        // to +0.0), so total_cmp ranks exactly like the exhaustive
-        // loop's numeric strict-greater with first-wins ties.
+        // to +0.0), so total_cmp ranks exactly like the reference's
+        // numeric strict-greater with first-wins ties.
         order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        for &(mean, ci) in &order {
-            let quant_ref = quant.as_ref().map(|(qq, margin)| (qq, *margin));
-            if self.frozen.prune.gate(
-                &self.frozen.index,
-                ci,
-                q,
-                qn,
-                self.config.tau,
-                quant_ref,
-                stats,
-            ) {
-                return Some((ci, mean));
-            }
-        }
-        None
+        order.into_iter().find_map(|(mean, ci)| {
+            self.frozen
+                .prune
+                .gate(&self.frozen.index, ci, q, qn, self.config.tau, stats)
+                .then_some((ci, mean))
+        })
     }
 
     /// The retained brute-force reference path: identical semantics to

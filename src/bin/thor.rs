@@ -12,12 +12,11 @@
 //!             [--checkpoint DIR [--resume]] [--stream [--chunk N]]
 //!             [--out enriched.csv] [--entities e.tsv]
 //!             <doc.txt | corpus-dir>...              run the pipeline
-//! thor enrich --engine e.thor [--engine-mmap on|off] [--threads N]
-//!             [--prune exact|approx [--prune-margin M]] ...
+//! thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] ...
 //!             <doc.txt | corpus-dir>...              serve from a built engine
 //! thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT]
 //!            [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS]
-//!            [--prune exact|approx] [--metrics[=json]]
+//!            [--metrics[=json]]
 //!                                                    HTTP front end (see thor-serve)
 //! thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv]
 //!            --out d1.eng [--note TEXT] [--engine-mmap on|off]
@@ -77,7 +76,7 @@ use std::process::ExitCode;
 
 use thor_repro::core::{
     compact_chain, entities_tsv, ConceptDelta, Document, EngineDelta, PipelineMetrics,
-    PreparedEngine, PruneMode, ResilientOptions, RunMode, SeedDelta, Thor, ThorConfig,
+    PreparedEngine, ResilientOptions, RunMode, SeedDelta, Thor, ThorConfig,
 };
 use thor_repro::data::csv::{from_csv, from_csv_lenient, to_csv, SkippedRow};
 use thor_repro::data::CorpusDir;
@@ -169,8 +168,6 @@ const ENRICH: CommandSpec = CommandSpec {
         "engine-mmap",
         "context-gate",
         "threads",
-        "prune",
-        "prune-margin",
         "out",
         "entities",
         "quarantine",
@@ -195,8 +192,6 @@ const SERVE: CommandSpec = CommandSpec {
         "threads",
         "queue",
         "read-timeout-ms",
-        "prune",
-        "prune-margin",
         "watch-engine",
         "deadline-ms",
     ],
@@ -284,11 +279,10 @@ fn usage() -> ExitCode {
          [--stream [--chunk N]] [--out enriched.csv] [--entities e.tsv] \
          <doc.txt | corpus-dir>...\n  \
          thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] \
-         [--prune exact|approx [--prune-margin M]] \
          ... <doc.txt | corpus-dir>...\n  \
          thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT] \
          [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS] \
-         [--prune exact|approx] [--metrics[=json]]\n  \
+         [--metrics[=json]]\n  \
          thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv] \
          --out d1.eng [--note TEXT] [--engine-mmap on|off]\n  \
          thor compact --engine dN.eng --out folded.eng\n  \
@@ -414,44 +408,6 @@ fn engine_map_mode(args: &Args) -> ThorResult<MapMode> {
             "bad --engine-mmap value `{other}` (expected `on` or `off`)"
         ))),
     }
-}
-
-/// `--prune exact|approx` (+ `--prune-margin M` for approx):
-/// candidate-generation pruning. `exact` (the default) only skips scans
-/// whose cosine upper bound provably cannot win, so its output is
-/// bit-identical to the exhaustive scan (the exhaustive scan itself is
-/// a test oracle, `PruneMode::Off`, not a CLI setting). `approx`
-/// additionally pre-screens rows with the i8-quantized copy and may
-/// trade a measured sliver of recall for throughput; `--prune-margin`
-/// widens the quantization safety margin (higher = closer to exact,
-/// default 0.05). Like `--threads`, the knob stays adjustable when
-/// serving from a frozen `--engine` artifact.
-fn prune_mode(args: &Args) -> ThorResult<PruneMode> {
-    let margin: Option<f64> = parse_option(args, "prune-margin")?;
-    if let Some(m) = margin {
-        if !m.is_finite() || m < 0.0 {
-            return Err(ThorError::config(format!(
-                "--prune-margin must be a finite value >= 0, got `{m}`"
-            )));
-        }
-    }
-    let mode = match args.options.get("prune").map(String::as_str) {
-        None | Some("exact") => PruneMode::Exact,
-        Some("approx") => PruneMode::Approx {
-            margin: margin.unwrap_or(0.05),
-        },
-        Some(other) => {
-            return Err(ThorError::config(format!(
-                "--prune must be `exact` or `approx`, got `{other}`"
-            )))
-        }
-    };
-    if margin.is_some() && !matches!(mode, PruneMode::Approx { .. }) {
-        return Err(ThorError::config(
-            "--prune-margin requires --prune approx (exact takes no margin)",
-        ));
-    }
-    Ok(mode)
 }
 
 /// Parse a value-taking option through `parse`, naming the flag and the
@@ -587,8 +543,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         }
     }
 
-    let prune = prune_mode(args)?;
-
     if args.positional.is_empty() {
         return Err(ThorError::config(
             "enrich needs at least one document file or corpus directory",
@@ -671,9 +625,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         if let Some(threads) = threads {
             engine = engine.with_threads(threads);
         }
-        if prune != PruneMode::Exact {
-            engine = engine.with_prune(prune);
-        }
         if attach_metrics {
             engine = engine.with_metrics(metrics.clone());
         }
@@ -737,7 +688,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         if let Some(threads) = threads {
             config.threads = threads;
         }
-        config.prune = prune;
         let mut thor = Thor::new(store, config);
         if attach_metrics {
             thor = thor.with_metrics(metrics.clone());
@@ -847,7 +797,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if read_timeout_ms == 0 {
         return Err(ThorError::config("--read-timeout-ms must be at least 1"));
     }
-    let prune = prune_mode(args)?;
     let metrics_mode = metrics_mode(args)?;
     // Bare `--watch-engine` (no value) means "poll at the default
     // cadence"; a value is the poll interval in milliseconds. Without
@@ -885,9 +834,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if let Some(threads) = threads {
         engine = engine.with_threads(threads);
     }
-    if prune != PruneMode::Exact {
-        engine = engine.with_prune(prune);
-    }
 
     let opts = ServeOptions {
         queue,
@@ -900,7 +846,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
         path: PathBuf::from(engine_path),
         mode: map_mode,
         threads,
-        prune,
         poll: watch_engine,
     };
     serve_signal::install_handlers();
@@ -1036,7 +981,7 @@ fn print_section_table(file: &SectionFile) {
 }
 
 /// One line summarizing the candidate-pruning sections the resolved
-/// chain serves — cluster shape and quantization — or their absence
+/// chain serves — their cluster shape — or their absence
 /// (artifacts written before the sections existed still load; the
 /// structures are rebuilt deterministically at load time).
 fn print_prune_summary(chain: &SectionChain) -> ThorResult<()> {
@@ -1049,16 +994,10 @@ fn print_prune_summary(chain: &SectionChain) -> ThorResult<()> {
     }
     let s = thor_repro::matcher::PruneIndex::summarize_meta(chain.bytes("prune.meta")?)
         .map_err(ThorError::validation)?;
-    let quantized = chain.entry("quant.rows").is_some() && chain.entry("quant.scales").is_some();
     println!(
         "candidate pruning: {} cluster(s) over {} concept(s), {} row(s) \
-         (dim {}, max {} rows/cluster), i8 quantization {}",
-        s.clusters,
-        s.concepts,
-        s.rows,
-        s.dim,
-        s.max_cluster_rows,
-        if quantized { "on" } else { "off" }
+         (dim {}, max {} rows/cluster)",
+        s.clusters, s.concepts, s.rows, s.dim, s.max_cluster_rows,
     );
     Ok(())
 }
@@ -1468,93 +1407,20 @@ mod tests {
     }
 
     #[test]
-    fn prune_option_validated() {
-        let a = parse_args(
-            &argv(&["--table", "t.csv", "--prune", "fuzzy", "d.txt"]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("`exact` or `approx`"), "{msg}");
-
-        // The exhaustive scan is a test oracle, not a CLI value.
-        let a = parse_args(
-            &argv(&["--table", "t.csv", "--prune", "off", "d.txt"]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(
-            msg.contains("--prune must be `exact` or `approx`, got `off`"),
-            "{msg}"
-        );
-
-        // --prune-margin only makes sense for the approximate mode.
-        let a = parse_args(
-            &argv(&["--table", "t.csv", "--prune-margin", "0.1", "d.txt"]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(
-            msg.contains("--prune-margin requires --prune approx"),
-            "{msg}"
-        );
-        let a = parse_args(
-            &argv(&[
-                "--table",
-                "t.csv",
-                "--prune",
-                "exact",
-                "--prune-margin",
-                "0.1",
-                "d.txt",
-            ]),
-            ENRICH.flags,
-        );
-        assert!(cmd_enrich(&a).is_err());
-
-        // Negative or non-finite margins are rejected by name.
-        let a = parse_args(
-            &argv(&[
-                "--table",
-                "t.csv",
-                "--prune",
-                "approx",
-                "--prune-margin",
-                "-0.5",
-                "d.txt",
-            ]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("--prune-margin must be"), "{msg}");
-
-        // Like --threads, --prune stays adjustable alongside --engine:
-        // the error must come from the missing file, not a conflict.
-        let a = parse_args(
-            &argv(&[
-                "--engine",
-                "/nonexistent/e.thor",
-                "--prune",
-                "approx",
-                "d.txt",
-            ]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(!msg.contains("conflicts"), "{msg}");
-
-        // Parsed modes map to the engine-level enum.
-        let parsed = |items: &[&str]| prune_mode(&parse_args(&argv(items), ENRICH.flags));
-        assert_eq!(parsed(&[]).unwrap(), PruneMode::Exact);
-        assert_eq!(parsed(&["--prune", "exact"]).unwrap(), PruneMode::Exact);
-        assert!(parsed(&["--prune", "off"]).is_err());
-        assert_eq!(
-            parsed(&["--prune", "approx"]).unwrap(),
-            PruneMode::Approx { margin: 0.05 }
-        );
-        assert_eq!(
-            parsed(&["--prune", "approx", "--prune-margin", "0.2"]).unwrap(),
-            PruneMode::Approx { margin: 0.2 }
-        );
+    fn prune_option_rejected_as_unknown() {
+        // Candidate generation has one path, the bound-pruned exact
+        // scan; the retired mode switch is rejected by name on both
+        // commands that used to take it.
+        for (cmd, spec) in [("enrich", &ENRICH), ("serve", &SERVE)] {
+            for mode in ["exact", "approx"] {
+                let a = parse_args(&argv(&["--prune", mode, "d.txt"]), spec.flags);
+                let msg = check_options(cmd, &a, spec).unwrap_err().to_string();
+                assert!(
+                    msg.contains(&format!("unknown option `--prune` for `thor {cmd}`")),
+                    "{msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,23 @@
-//! Property tests for the sub-linear candidate-generation tentpole:
-//! **bound-pruned exact scans are bit-identical to the exhaustive
-//! reference**. The pruned path (`PruneMode::Exact`, the default)
-//! must reproduce `match_phrase_reference` exactly — same candidates,
-//! same order, same score *bits* — across random semantic spaces, the
-//! paper's τ sweep, worker threads {1, 4}, phrase cache {0, 4096},
-//! backing {owned, mapped}, and after delta chains. `PruneMode::Off`
-//! and `Exact` must agree everywhere (pruning is a pure execution
-//! knob), the artifact bytes must not depend on the knob at all, and
-//! pre-pruning artifacts (no `prune.*`/`quant.*` sections) must keep
-//! loading with identical output. The one mode allowed to differ —
-//! `Approx` — may only *miss*, and its measured recall is floored.
+//! Property tests for sub-linear candidate generation: **the
+//! bound-pruned scan is bit-identical to the brute-force reference**.
+//! Candidate generation has one path, and it must reproduce
+//! `match_phrase_reference` exactly — same candidates, same order, same
+//! score *bits* — across random semantic spaces, the paper's τ sweep
+//! and τ = 0, zero-norm words, worker threads {1, 4}, phrase cache
+//! {0, 4096}, backing {owned, mapped}, and after delta chains. Artifacts
+//! without `prune.*` sections (written before pruning existed) and
+//! artifacts that still carry the retired `quant.*` sections must keep
+//! loading with identical output.
 
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use thor_repro::core::{
-    Document, EngineDelta, MapMode, PreparedEngine, PruneMode, SeedDelta, Thor, ThorConfig,
+    Document, EngineDelta, MapMode, PreparedEngine, SeedDelta, Thor, ThorConfig,
 };
 use thor_repro::data::{Schema, Table};
-use thor_repro::embed::{SemanticSpaceBuilder, VectorStore};
+use thor_repro::embed::{SemanticSpaceBuilder, Vector, VectorStore};
 use thor_repro::fault::{atomic_write, SectionFile, SectionWriter};
 use thor_repro::matcher::{CandidateEntity, MatcherConfig, SimilarityMatcher};
 
@@ -36,11 +33,17 @@ fn case_id() -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Matcher-level properties: pruned == exhaustive, bit for bit.
+// Matcher-level properties: pruned == reference, bit for bit.
 // ---------------------------------------------------------------------
 
+/// Dimensionality of the matcher-level spaces.
+const DIM: usize = 24;
+
+/// A random clustered space plus `nil`, a word whose vector is all
+/// zeros: a query of just `nil` has zero norm, and at τ = 0 the word
+/// also joins the τ-expansion as a zero-norm index row.
 fn space(seed: u64) -> VectorStore {
-    SemanticSpaceBuilder::new(24, seed)
+    let mut store = SemanticSpaceBuilder::new(DIM, seed)
         .spread(0.5)
         .topic("alpha")
         .topic("beta")
@@ -50,7 +53,9 @@ fn space(seed: u64) -> VectorStore {
         .words("gamma", ["gnu", "gar", "goa"])
         .generic_words(["elk", "owl"])
         .build()
-        .into_store()
+        .into_store();
+    store.insert("nil", Vector::zeros(DIM));
+    store
 }
 
 fn concepts() -> Vec<(String, Vec<String>)> {
@@ -110,14 +115,16 @@ fn matched_concurrently(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant: `Exact` pruning reproduces the
-    /// brute-force reference *bit-identically* — and `Off` agrees with
-    /// `Exact` — for random spaces, every τ of the paper's sweep,
-    /// cache {0, 4096} and threads {1, 4} on one shared matcher.
+    /// The invariant: the pruned scan reproduces the brute-force
+    /// reference *bit-identically* for random spaces, every τ of the
+    /// paper's sweep and τ = 0, cache {0, 4096} and threads {1, 4} on
+    /// one shared matcher — including phrases with the zero-norm word,
+    /// which the pruned functions answer with the exhaustive scan's
+    /// all-zero similarities.
     #[test]
     fn pruned_exact_equals_exhaustive_bit_identically(
         words in prop::collection::vec(
-            prop::collection::vec("(ape|ant|asp|auk|bee|bat|boa|bug|gnu|gar|goa|elk|owl|zzz)", 1..5),
+            prop::collection::vec("(ape|ant|asp|auk|bee|bat|boa|bug|gnu|gar|goa|elk|owl|nil|zzz)", 1..5),
             1..6,
         ),
         seed in 0u64..25,
@@ -127,81 +134,28 @@ proptest! {
     ) {
         let cache = [0usize, 4096][cache_pick];
         let threads = [1usize, 4][threads_pick];
-        let exact = matcher(tau10 as f64 / 10.0, seed, cache);
-        let off = exact.with_prune_mode(PruneMode::Off);
-        let phrases: Vec<String> = words.iter().map(|w| w.join(" ")).collect();
-
-        let got = matched_concurrently(&exact, &phrases, threads);
-        for (phrase, act) in phrases.iter().zip(&got) {
-            let reference = exact.match_phrase_reference(phrase, |_| true);
-            prop_assert_eq!(
-                &reference, act,
-                "pruned path diverged from reference on `{}`", phrase
-            );
-            let unpruned = off.match_phrase(phrase);
-            prop_assert_eq!(
-                &reference, &unpruned,
-                "exhaustive mode diverged from reference on `{}`", phrase
-            );
-        }
-    }
-}
-
-/// `Approx` may only lose candidates, never invent scores: with a
-/// modest margin its measured recall against the exact candidate set
-/// stays above the floor, and every candidate it does emit carries the
-/// same exactly-rescored bits as the exact path's candidate for that
-/// (phrase, concept).
-#[test]
-fn approx_recall_is_floored_and_survivors_are_exactly_rescored() {
-    let mut exact_total = 0usize;
-    let mut approx_hit = 0usize;
-    for seed in 0..10u64 {
-        let exact = matcher(0.6, seed, 0);
-        let approx = exact.with_prune_mode(PruneMode::Approx { margin: 0.1 });
-        let vocab = [
-            "ape", "ant", "asp", "auk", "bee", "bat", "boa", "bug", "gnu", "gar", "goa", "elk",
-            "owl",
-        ];
-        let mut phrases: Vec<String> = vocab.iter().map(|w| w.to_string()).collect();
-        phrases.extend(vocab.windows(2).map(|w| w.join(" ")));
-        for phrase in &phrases {
-            let e = exact.match_phrase(phrase);
-            let a = approx.match_phrase(phrase);
-            let keys: BTreeSet<(String, String)> = a
-                .iter()
-                .map(|c| (c.phrase.clone(), c.concept.clone()))
-                .collect();
-            exact_total += e.len();
-            for c in &e {
-                if keys.contains(&(c.phrase.clone(), c.concept.clone())) {
-                    approx_hit += 1;
-                }
-            }
-            // Survivors are rescored through the exact f32 path: any
-            // candidate approx emits for a (phrase, concept) the exact
-            // path also emits must be bit-identical to it.
-            for ac in &a {
-                if let Some(ec) = e
-                    .iter()
-                    .find(|ec| ec.phrase == ac.phrase && ec.concept == ac.concept)
-                {
-                    assert_eq!(ec, ac, "approx survivor not exactly rescored: {phrase:?}");
-                }
+        let mut phrases: Vec<String> = words.iter().map(|w| w.join(" ")).collect();
+        phrases.push("nil".to_string());
+        for tau in [tau10 as f64 / 10.0, 0.0] {
+            let m = matcher(tau, seed, cache);
+            let got = matched_concurrently(&m, &phrases, threads);
+            // The zero-norm word is live: at τ = 0 every non-empty
+            // concept admits its all-zero similarities.
+            prop_assert_eq!(got.last().unwrap().is_empty(), tau > 0.0);
+            for (phrase, act) in phrases.iter().zip(&got) {
+                let reference = m.match_phrase_reference(phrase, |_| true);
+                prop_assert_eq!(
+                    &reference, act,
+                    "pruned path diverged from reference on `{}` at tau {}", phrase, tau
+                );
             }
         }
     }
-    assert!(exact_total > 0, "workload produced no exact candidates");
-    let recall = approx_hit as f64 / exact_total as f64;
-    assert!(
-        recall >= 0.9,
-        "approx recall {recall:.3} fell below the 0.9 floor ({approx_hit}/{exact_total})"
-    );
 }
 
 // ---------------------------------------------------------------------
-// Engine-level properties: the knob is invisible to artifacts and to
-// enrichment, including after delta chains and across map modes.
+// Engine-level properties: the pruned scan is exact after delta chains
+// and across map modes, and older artifact layouts keep loading.
 // ---------------------------------------------------------------------
 
 fn engine_store() -> VectorStore {
@@ -233,16 +187,42 @@ fn docs() -> Vec<Document> {
     ]
 }
 
+/// Every phrase the engine-level checks match directly: each fixture
+/// word alone, and each document sentence (whose subphrases cover the
+/// multi-word cases).
+fn engine_phrases() -> Vec<String> {
+    let mut phrases: Vec<String> = [
+        "lungs", "brain", "skin", "nerve", "spine", "ear", "aspirin", "insulin", "damages",
+    ]
+    .iter()
+    .map(|w| w.to_string())
+    .collect();
+    phrases.extend(docs().iter().map(|d| d.text.to_string()));
+    phrases
+}
+
+/// The matcher `engine` serves agrees bit for bit with the brute-force
+/// reference over [`engine_phrases`].
+fn assert_matches_reference(engine: &PreparedEngine) {
+    let m = engine.matcher();
+    for phrase in engine_phrases() {
+        assert_eq!(
+            m.match_phrase(&phrase),
+            m.match_phrase_reference(&phrase, |_| true),
+            "pruned scan diverged from the reference on `{phrase}`"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// After a random delta chain, a chain-loaded engine enriches
-    /// identically whether pruning is `Exact` (default) or `Off`, at
-    /// every {cache} × {mmap} point — and the artifact bytes the
-    /// evolved engine saves are byte-identical regardless of the
-    /// execution knob it was running under.
+    /// After a random delta chain, the chain-loaded engine's matcher
+    /// reproduces the brute-force reference at every {cache} × {mmap}
+    /// point, enriches identically to the in-memory evolved engine, and
+    /// saves the same bytes.
     #[test]
-    fn prune_modes_agree_after_delta_chains(
+    fn pruned_scan_equals_reference_after_delta_chains(
         seeds in prop::collection::vec((0usize..3, 0usize..6), 1..4),
         cache_pick in 0usize..2,
         mapped_pick in 0usize..2,
@@ -268,27 +248,28 @@ proptest! {
             engine.save_delta(paths.last().unwrap(), &next, "prune prop").unwrap();
             paths.push(next);
         }
-
-        // The execution knob never reaches the artifact: the evolved
-        // engine saves the same bytes under `Off` as under the default.
-        let (pa, pb) = (
-            dir.join(format!("exact-{case}.eng")),
-            dir.join(format!("off-{case}.eng")),
-        );
-        engine.save(&pa).unwrap();
-        engine.with_prune(PruneMode::Off).save(&pb).unwrap();
-        prop_assert_eq!(std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
+        assert_matches_reference(&engine);
 
         let loaded = PreparedEngine::load_with(paths.last().unwrap(), mode).unwrap();
         prop_assert_eq!(loaded.fingerprint(), engine.fingerprint());
+        assert_matches_reference(&loaded);
         let docs = docs();
-        let exact = loaded.enrich(&docs);
-        let off = loaded.with_prune(PruneMode::Off).enrich(&docs);
-        prop_assert_eq!(&exact.entities, &off.entities);
+        let served = loaded.enrich(&docs);
+        let evolved = engine.enrich(&docs);
+        prop_assert_eq!(&served.entities, &evolved.entities);
         prop_assert_eq!(
-            thor_repro::data::csv::to_csv(&exact.table),
-            thor_repro::data::csv::to_csv(&off.table)
+            thor_repro::data::csv::to_csv(&served.table),
+            thor_repro::data::csv::to_csv(&evolved.table)
         );
+
+        // The chain-loaded engine saves the evolved engine's bytes.
+        let (pa, pb) = (
+            dir.join(format!("evolved-{case}.eng")),
+            dir.join(format!("loaded-{case}.eng")),
+        );
+        engine.save(&pa).unwrap();
+        loaded.save(&pb).unwrap();
+        prop_assert_eq!(std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
 
         drop(loaded);
         for p in paths.iter().chain([&pa, &pb]) {
@@ -297,10 +278,58 @@ proptest! {
     }
 }
 
-/// A pre-pruning artifact — every `prune.*`/`quant.*` section stripped,
-/// as a v2-era save would have produced — still loads under both map
-/// modes, keeps its fingerprint, and enriches identically: the load
-/// path rebuilds the pruning structures on the fly.
+/// Rewrite the artifact at `src` into `dst` through `SectionWriter`,
+/// dropping the sections `drop` selects and appending `extra`.
+fn rewrite_sections(
+    src: &Path,
+    dst: &Path,
+    drop: impl Fn(&str) -> bool,
+    extra: &[(&str, Vec<u8>)],
+) {
+    let file = SectionFile::open(src, MapMode::Owned).unwrap();
+    let mut w = SectionWriter::new();
+    for e in file.entries() {
+        if !drop(&e.name) {
+            w.add(&e.name, e.version, file.bytes(&e.name).unwrap());
+        }
+    }
+    for (name, bytes) in extra {
+        w.add(name, 1, bytes);
+    }
+    atomic_write(dst, &w.finish()).unwrap();
+}
+
+/// The `quant.rows`/`quant.scales` payloads earlier saves carried after
+/// the prune sections: the index rows as symmetric i8 codes (one scale
+/// `max|x| / 127` per row, codes stored as `u8` bit patterns) and the
+/// little-endian `f32` scales.
+fn retired_quant_sections(engine: &PreparedEngine) -> [(&'static str, Vec<u8>); 2] {
+    let index = engine.matcher().index();
+    let mut codes = Vec::new();
+    let mut scales = Vec::new();
+    for row in index.data().chunks(index.dim()) {
+        let max = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let scale = if max == 0.0 { 0.0 } else { max / 127.0 };
+        scales.extend_from_slice(&scale.to_le_bytes());
+        codes.extend(row.iter().map(|&x| {
+            if scale == 0.0 {
+                0
+            } else {
+                ((x / scale).round().clamp(-127.0, 127.0) as i8) as u8
+            }
+        }));
+    }
+    [("quant.rows", codes), ("quant.scales", scales)]
+}
+
+/// Older artifact layouts keep loading: one written before pruning
+/// existed (every `prune.*` section stripped — the load rebuilds the
+/// structures on the fly) and one that still carries the retired
+/// `quant.*` sections (looked up by no one, checksum-verified like any
+/// other section). Each loads under both map modes, keeps its
+/// fingerprint and enriches identically; a delta applied over the
+/// `quant.*` artifact loads and enriches like a fresh build of the
+/// merged table.
 #[test]
 fn artifacts_without_prune_sections_still_load_and_agree() {
     let dir = scratch_dir();
@@ -310,29 +339,61 @@ fn artifacts_without_prune_sections_still_load_and_agree() {
     engine.save(&full).unwrap();
 
     let file = SectionFile::open(&full, MapMode::Owned).unwrap();
-    assert!(
-        file.entry("prune.meta").is_some() && file.entry("quant.rows").is_some(),
-        "fixture artifact should carry the pruning sections"
-    );
-    let mut w = SectionWriter::new();
-    let mut dropped = 0;
-    for e in file.entries() {
-        if e.name.starts_with("prune.") || e.name.starts_with("quant.") {
-            dropped += 1;
-            continue;
-        }
-        w.add(&e.name, e.version, file.bytes(&e.name).unwrap());
-    }
-    assert_eq!(dropped, 8, "expected all eight pruning sections present");
-    let stripped = dir.join("compat-stripped.eng");
-    atomic_write(&stripped, &w.finish()).unwrap();
+    let names: Vec<String> = file.entries().iter().map(|e| e.name.clone()).collect();
     drop(file);
+    assert_eq!(
+        names.iter().filter(|n| n.starts_with("prune.")).count(),
+        6,
+        "a fresh save should carry all six pruning sections: {names:?}"
+    );
+    assert!(
+        !names.iter().any(|n| n.starts_with("quant.")),
+        "a fresh save writes no quant.* section: {names:?}"
+    );
+
+    let stripped = dir.join("compat-stripped.eng");
+    rewrite_sections(&full, &stripped, |n| n.starts_with("prune."), &[]);
+    let with_quant = dir.join("compat-quant.eng");
+    rewrite_sections(
+        &full,
+        &with_quant,
+        |_| false,
+        &retired_quant_sections(&engine),
+    );
 
     let docs = docs();
     let want = engine.enrich(&docs);
+    for artifact in [&stripped, &with_quant] {
+        for mode in [MapMode::Owned, MapMode::Mapped] {
+            let loaded = PreparedEngine::load_with(artifact, mode).unwrap();
+            assert_eq!(loaded.fingerprint(), engine.fingerprint());
+            let got = loaded.enrich(&docs);
+            assert_eq!(want.entities, got.entities);
+            assert_eq!(
+                thor_repro::data::csv::to_csv(&want.table),
+                thor_repro::data::csv::to_csv(&got.table)
+            );
+        }
+    }
+
+    // A delta over the artifact that carries `quant.*`.
+    let mut rows = Table::new(Schema::new(["Disease", "Anatomy"], "Disease"));
+    rows.fill_slot("Stroke", "Anatomy", "brain");
+    let mut merged = base_table();
+    merged.fill_slot("Stroke", "Anatomy", "brain");
+    let fresh = thor.prepare(&merged);
+    let delta = dir.join("compat-quant-d1.eng");
+    PreparedEngine::load_with(&with_quant, MapMode::Owned)
+        .unwrap()
+        .apply_delta(&EngineDelta::Seeds(SeedDelta::new(rows)))
+        .unwrap()
+        .save_delta(&with_quant, &delta, "over a quant.* artifact")
+        .unwrap();
+    let want = fresh.enrich(&docs);
     for mode in [MapMode::Owned, MapMode::Mapped] {
-        let loaded = PreparedEngine::load_with(&stripped, mode).unwrap();
-        assert_eq!(loaded.fingerprint(), engine.fingerprint());
+        let loaded = PreparedEngine::load_with(&delta, mode).unwrap();
+        assert_eq!(loaded.chain_depth(), 1);
+        assert_eq!(loaded.fingerprint(), fresh.fingerprint());
         let got = loaded.enrich(&docs);
         assert_eq!(want.entities, got.entities);
         assert_eq!(
@@ -340,6 +401,7 @@ fn artifacts_without_prune_sections_still_load_and_agree() {
             thor_repro::data::csv::to_csv(&got.table)
         );
     }
-    std::fs::remove_file(&full).ok();
-    std::fs::remove_file(&stripped).ok();
+    for p in [&full, &stripped, &with_quant, &delta] {
+        std::fs::remove_file(p).ok();
+    }
 }
